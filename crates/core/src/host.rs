@@ -163,7 +163,9 @@ pub struct Host {
     /// The machine this instance is placed on (cached for telemetry).
     machine: u16,
     block: BlockId,
-    kind: NodeKind,
+    /// Shared so that handling a message clones a pointer, not the
+    /// operator's expression trees.
+    kind: Arc<NodeKind>,
     name: Arc<str>,
     condition: Option<crate::graph::CondInfo>,
     /// Edge ids feeding this node, ordered by input index.
@@ -236,7 +238,7 @@ impl Host {
             .then(TemplateCache::new);
         Host {
             block: node.block,
-            kind: node.kind.clone(),
+            kind: Arc::new(node.kind.clone()),
             name: node.name.clone(),
             condition: node.condition,
             shared,
@@ -400,7 +402,7 @@ impl Host {
                 count: elems.len() as u64,
             },
         );
-        if matches!(self.kind, NodeKind::Fused { .. }) {
+        if matches!(*self.kind, NodeKind::Fused { .. }) {
             // A read-headed fused chain parks the raw elements until every
             // later stage's captured-scalar gate is satisfied; they flow
             // through the chain in `emit_sources`.
@@ -649,7 +651,7 @@ impl Host {
         self.shared.telemetry.bag_started(self.machine, self.op);
         out.obs
             .record(out.net, self.op, EventKind::BagOpened { pos, bag_len: len });
-        let is_phi = matches!(self.kind, NodeKind::Phi);
+        let is_phi = matches!(*self.kind, NodeKind::Phi);
         let n_inputs = self.in_edges.len();
         let mut sel: Vec<Option<u32>> = Vec::with_capacity(n_inputs);
         // Template lookup: a cached traversal of the same path suffix
@@ -856,7 +858,7 @@ impl Host {
         let mut state = init_state(&self.kind);
         let mut reused = false;
         if self.shared.config.hoisting {
-            match (&self.kind, &self.kept) {
+            match (&*self.kind, &self.kept) {
                 (NodeKind::Join, Some(Kept::Join { bag_len, .. })) if sel[0] == Some(*bag_len) => {
                     if let Some(k) = self.kept.take() {
                         // The cached table moves into the active bag's
@@ -886,7 +888,7 @@ impl Host {
         if reused {
             self.hoist_hits += 1;
             if out.obs.enabled() {
-                let hoist_len = match self.kind {
+                let hoist_len = match *self.kind {
                     NodeKind::Join => sel[0],
                     _ => sel[1],
                 };
@@ -899,7 +901,7 @@ impl Host {
                     },
                 );
             }
-        } else if matches!(self.kind, NodeKind::Join | NodeKind::Cross) {
+        } else if matches!(*self.kind, NodeKind::Join | NodeKind::Cross) {
             if let Some(k) = self.kept.take() {
                 self.credit_kept(&k); // invalidated: the selection changed
             }
@@ -934,7 +936,7 @@ impl Host {
         }
 
         // Gating bookkeeping; a reused hoisted input's gate is pre-satisfied.
-        let hoist_input = match self.kind {
+        let hoist_input = match *self.kind {
             NodeKind::Join => Some(0),
             NodeKind::Cross => Some(1),
             _ => None,
@@ -1070,7 +1072,7 @@ impl Host {
         // chain kicks off the asynchronous partition read; the gate is
         // marked done when the simulated disk answers (`on_io_done`).
         let read_gate = input == 0
-            && match &self.kind {
+            && match &*self.kind {
                 NodeKind::ReadFile => true,
                 NodeKind::Fused { stages } => matches!(stages[0].kind, NodeKind::ReadFile),
                 _ => false,
@@ -1124,7 +1126,7 @@ impl Host {
                 .schedule(delay, machine, Msg::IoDone { op: self.op });
             return Ok(());
         }
-        match (&self.kind, input) {
+        match (&*self.kind, input) {
             (NodeKind::WriteFile, 1) => {
                 if count != 1 {
                     return Err(RuntimeError::new(format!(
@@ -1185,14 +1187,15 @@ impl Host {
     /// once all captured values are in; announces condition decisions.
     fn emit_sources(&mut self, out: &mut HostOut) -> Result<(), RuntimeError> {
         let cost = self.shared.config.cost;
-        match self.kind.clone() {
+        let kind = Arc::clone(&self.kind);
+        match &*kind {
             NodeKind::Singleton { expr } => {
                 let (captured, len) = {
                     let a = self.current.as_ref().expect("active");
                     (a.captured.clone(), a.len)
                 };
                 out.net.charge(cost.eval_cost(expr.node_count(), 1));
-                let v = eval(&expr, &captured).map_err(|e| RuntimeError::new(e.message))?;
+                let v = eval(expr, &captured).map_err(|e| RuntimeError::new(e.message))?;
                 if let Some(ci) = self.condition {
                     let b = v.as_bool().ok_or_else(|| {
                         RuntimeError::new(format!(
@@ -1208,7 +1211,7 @@ impl Host {
             NodeKind::LiteralBag { elems } => {
                 let captured = self.current.as_ref().expect("active").captured.clone();
                 let mut vals = Vec::with_capacity(elems.len());
-                for e in &elems {
+                for e in elems {
                     out.net.charge(cost.eval_cost(e.node_count(), 1));
                     vals.push(eval(e, &captured).map_err(|e| RuntimeError::new(e.message))?);
                 }
@@ -1241,7 +1244,8 @@ impl Host {
         mut batch: Batch,
         out: &mut HostOut,
     ) -> Result<Batch, RuntimeError> {
-        let NodeKind::Fused { stages } = self.kind.clone() else {
+        let kind = Arc::clone(&self.kind);
+        let NodeKind::Fused { stages } = &*kind else {
             return Err(RuntimeError::new(
                 "fused_transform on non-fused".to_string(),
             ));
@@ -1317,10 +1321,10 @@ impl Host {
         elems: Vec<Value>,
         out: &mut HostOut,
     ) -> Result<(), RuntimeError> {
-        let kind = self.kind.clone();
+        let kind = Arc::clone(&self.kind);
         let cost = self.shared.config.cost;
         let captured = self.current.as_ref().expect("active").captured.clone();
-        match &kind {
+        match &*kind {
             // The element-wise transforms run through the shared columnar
             // kernels: one layout dispatch per run instead of one enum
             // inspection per element.
@@ -1536,7 +1540,7 @@ impl Host {
         // Final emissions of blocking aggregations.
         let final_emit: Option<Vec<Value>> = {
             let active = self.current.as_mut().expect("active");
-            match &self.kind {
+            match &*self.kind {
                 NodeKind::ReduceByKey { .. } | NodeKind::ReduceByKeyLocal { .. } => {
                     let OpState::Agg(map) = std::mem::replace(&mut active.state, OpState::Simple)
                     else {
@@ -1575,7 +1579,7 @@ impl Host {
         }
         // Sinks create their target even for empty bags, matching the
         // sequential semantics (an empty written file still exists).
-        match &self.kind {
+        match &*self.kind {
             NodeKind::OutputSink { tag } => {
                 self.shared.fs.append(&format!("{OUTPUT_PREFIX}{tag}"), &[]);
             }
@@ -1590,7 +1594,7 @@ impl Host {
         let active = self.current.take().expect("active");
         // Keep hoistable build state for the next output bag (Sec. 5.3).
         if self.shared.config.hoisting {
-            let new_kept = match (&self.kind, active.state) {
+            let new_kept = match (&*self.kind, active.state) {
                 (NodeKind::Join, OpState::Build(table)) => Some(Kept::Join {
                     bag_len: active.sel[0].expect("join build selected"),
                     table,

@@ -7,11 +7,11 @@
 //!
 //! The element-wise transforms ([`map`], [`flat_map`], [`filter`]) are
 //! **batch-in/batch-out**: they take a typed columnar [`Batch`] and return
-//! one, dispatching on the storage layout once per run (via
-//! [`Batch::try_for_each`]) so monomorphic columns stream through without
-//! per-element enum inspection of the input. The keyed/aggregating kernels
-//! keep their slice signatures — their cost is dominated by hashing, not
-//! container shape.
+//! one, evaluating the lambda a column at a time once per run
+//! ([`Batch::map_expr`] and friends; a run the column evaluator cannot
+//! express, or that fails in it, is evaluated element by element with
+//! [`eval`]). The keyed/aggregating kernels keep their slice signatures —
+//! their cost is dominated by hashing, not container shape.
 
 use mitos_lang::expr::{eval, Expr};
 use mitos_lang::{Batch, Value};
@@ -50,66 +50,21 @@ impl From<mitos_lang::EvalError> for KernelError {
 }
 
 /// `map`: applies `expr($0 = element, $1.. = captured)` to each element of
-/// the batch, re-columnarizing the results as it goes.
+/// the batch; the result columns go straight into the output batch.
 pub fn map(expr: &Expr, captured: &[Value], input: &Batch) -> Result<Batch, KernelError> {
-    let mut params = Vec::with_capacity(1 + captured.len());
-    params.push(Value::Unit);
-    params.extend_from_slice(captured);
-    let mut out = Batch::new();
-    input.try_for_each(|v| {
-        params[0] = v;
-        out.push(eval(expr, &params)?);
-        Ok::<(), KernelError>(())
-    })?;
-    Ok(out)
+    Ok(input.map_expr(expr, captured)?)
 }
 
 /// `flatMap`: like [`map`], but each result must be a list, which is
 /// flattened into the output batch.
 pub fn flat_map(expr: &Expr, captured: &[Value], input: &Batch) -> Result<Batch, KernelError> {
-    let mut params = Vec::with_capacity(1 + captured.len());
-    params.push(Value::Unit);
-    params.extend_from_slice(captured);
-    let mut out = Batch::new();
-    input.try_for_each(|v| {
-        params[0] = v;
-        let result = eval(expr, &params)?;
-        match result.as_list() {
-            Some(elems) => {
-                for e in elems {
-                    out.push(e.clone());
-                }
-                Ok(())
-            }
-            None => Err(KernelError::new(format!(
-                "flatMap lambda must return a list, got {result:?}"
-            ))),
-        }
-    })?;
-    Ok(out)
+    Ok(input.flat_map_expr(expr, captured)?)
 }
 
-/// `filter`: keeps elements whose predicate evaluates to `true`, so
-/// surviving runs stay columnar.
+/// `filter`: keeps elements whose predicate evaluates to `true`, selecting
+/// them from the input columns.
 pub fn filter(expr: &Expr, captured: &[Value], input: &Batch) -> Result<Batch, KernelError> {
-    let mut params = Vec::with_capacity(1 + captured.len());
-    params.push(Value::Unit);
-    params.extend_from_slice(captured);
-    let mut out = Batch::new();
-    input.try_for_each(|v| {
-        params[0] = v.clone();
-        match eval(expr, &params)? {
-            Value::Bool(true) => {
-                out.push(v);
-                Ok(())
-            }
-            Value::Bool(false) => Ok(()),
-            other => Err(KernelError::new(format!(
-                "filter predicate must return bool, got {other:?}"
-            ))),
-        }
-    })?;
-    Ok(out)
+    Ok(input.filter_expr(expr, captured)?)
 }
 
 /// The non-key payload of a join element: the tail fields of a tuple, or
@@ -260,7 +215,7 @@ pub fn distinct(input: &[Value]) -> Vec<Value> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mitos_lang::expr::BinOp;
+    use mitos_lang::expr::{BinOp, Func};
 
     fn ints(range: std::ops::Range<i64>) -> Vec<Value> {
         range.map(Value::I64).collect()
@@ -301,6 +256,113 @@ mod tests {
             vec![Value::I64(1), Value::I64(1), Value::I64(2), Value::I64(2)]
         );
         assert!(flat_map(&Expr::Param(0), &[], &batch(0..1)).is_err());
+    }
+
+    /// The reference the element-wise kernels are held to: `eval` on each
+    /// element in order, results `push`ed one by one.
+    fn row_map(expr: &Expr, captured: &[Value], input: &Batch) -> Result<Batch, String> {
+        let mut out = Batch::new();
+        for v in input.iter() {
+            let mut params = vec![v];
+            params.extend_from_slice(captured);
+            out.push(eval(expr, &params).map_err(|e| e.message)?);
+        }
+        Ok(out)
+    }
+
+    fn idx(i: usize) -> Expr {
+        Expr::Index(Box::new(Expr::Param(0)), i)
+    }
+
+    /// Lambdas of the benchmark workloads and of PageRank, plus ones the
+    /// column evaluator hands back to the row loop, on a batch whose runs
+    /// change shape: same wire bytes as the row loop, or the same error.
+    #[test]
+    fn map_agrees_with_the_row_loop_on_every_layout() {
+        let mut elems: Vec<Value> = (0..40).map(|i| kv(i, i % 4)).collect();
+        elems.push(Value::tuple([Value::I64(1), Value::F64(0.5)])); // field 1 turns mixed
+        elems.extend((0..3).map(|i| Value::tuple([Value::I64(i), Value::F64(1.5), Value::I64(2)])));
+        elems.push(Value::Unit);
+        elems.extend(ints(0..5));
+        let input = Batch::from_slice(&elems);
+        let lambdas = [
+            Expr::Tuple(vec![
+                Expr::bin(BinOp::Div, idx(0), Expr::lit(4i64)),
+                Expr::bin(BinOp::Mod, idx(0), Expr::lit(4i64)),
+            ]),
+            idx(0),
+            Expr::Tuple(vec![idx(0), Expr::lit(1i64)]),
+            Expr::Tuple(vec![idx(1), idx(0)]),
+            Expr::Call(Func::Abs, vec![Expr::bin(BinOp::Sub, idx(0), idx(1))]),
+            Expr::Call(Func::Min, vec![idx(0), idx(1)]),
+            Expr::bin(
+                BinOp::Add,
+                Expr::lit(0.15),
+                Expr::bin(BinOp::Mul, Expr::lit(0.85), idx(1)),
+            ),
+            Expr::bin(BinOp::Div, idx(1), Expr::Param(1)),
+            Expr::bin(BinOp::Add, Expr::lit("k"), idx(0)),
+            Expr::If(
+                Box::new(Expr::bin(BinOp::Gt, idx(0), Expr::lit(3i64))),
+                Box::new(idx(1)),
+                Box::new(Expr::lit(0i64)),
+            ),
+            Expr::Param(0),
+            Expr::Param(7),
+        ];
+        for lambda in &lambdas {
+            for captured in [[Value::I64(2)], [Value::I64(0)]] {
+                let got = map(lambda, &captured, &input).map_err(|e| e.message);
+                let want = row_map(lambda, &captured, &input);
+                assert_eq!(
+                    got.as_ref().map(Batch::encode),
+                    want.as_ref().map(Batch::encode),
+                    "{lambda} with $1 = {captured:?}"
+                );
+            }
+        }
+    }
+
+    /// A zero divisor at element 1 is the error, not the type error `len`
+    /// meets at element 2 — although a column-at-a-time pass evaluates the
+    /// whole `len` column first.
+    #[test]
+    fn first_failing_element_decides_the_error() {
+        let input = Batch::from_slice(&[
+            Value::tuple([Value::str("ab"), Value::I64(2)]),
+            Value::tuple([Value::str("ab"), Value::I64(0)]),
+            Value::tuple([Value::I64(7), Value::I64(2)]),
+        ]);
+        let lambda = Expr::Tuple(vec![
+            Expr::Call(Func::Len, vec![idx(0)]),
+            Expr::bin(BinOp::Mod, Expr::lit(9i64), idx(1)),
+        ]);
+        let err = map(&lambda, &[], &input).unwrap_err();
+        assert_eq!(err.message, "integer modulo by zero");
+        assert_eq!(Err(err.message), row_map(&lambda, &[], &input));
+    }
+
+    #[test]
+    fn filter_and_flat_map_keep_the_pushed_layout() {
+        let input: Batch = (0..100).map(|i| kv(i / 4, i % 4)).collect();
+        let valid = Expr::bin(BinOp::Ne, idx(1), Expr::lit(3i64));
+        let kept = filter(&valid, &[], &input).unwrap();
+        let want: Batch = input
+            .iter()
+            .filter(|v| v.field(1) != Some(&Value::I64(3)))
+            .collect();
+        assert_eq!(kept.encode(), want.encode());
+        let ends = Expr::List(vec![idx(0), idx(1)]);
+        let flat = flat_map(&ends, &[], &input).unwrap();
+        let want: Batch = input
+            .iter()
+            .flat_map(|v| v.as_tuple().unwrap().to_vec())
+            .collect();
+        assert_eq!(flat.encode(), want.encode());
+        // A 300-field result does not fit a column run's one-byte arity.
+        let wide = Expr::Tuple(vec![Expr::Param(0); 300]);
+        let out = map(&wide, &[], &batch(0..3)).unwrap();
+        assert_eq!(Batch::decode(&out.encode()).unwrap(), out);
     }
 
     #[test]

@@ -23,6 +23,8 @@
 //! path. Outputs are identical either way; only byte accounting (and thus
 //! simulated network timing) differs.
 
+mod vectorized;
+
 use crate::value::Value;
 use std::fmt;
 use std::sync::Arc;
@@ -73,6 +75,61 @@ impl Col {
                 let mut rows = self.drain_values();
                 rows.push(v.clone());
                 *self = Col::Mixed(rows);
+            }
+        }
+    }
+
+    /// A column of `n` copies of `v`, as `n` pushes would build it.
+    fn repeat(v: &Value, n: usize) -> Col {
+        match v {
+            Value::I64(x) => Col::I64(vec![*x; n]),
+            Value::F64(x) => Col::F64(vec![*x; n]),
+            Value::Bool(x) => Col::Bool(vec![*x; n]),
+            Value::Str(x) => Col::Str(vec![x.clone(); n]),
+            other => Col::Mixed(vec![other.clone(); n]),
+        }
+    }
+
+    /// Appends every element of `more`, as pushing them one by one would:
+    /// the same typed column extends, anything else goes through
+    /// [`Col::push`] and its degrade rule.
+    fn append(&mut self, mut more: Col) {
+        match (&mut *self, &mut more) {
+            (Col::I64(xs), Col::I64(ys)) => xs.append(ys),
+            (Col::F64(xs), Col::F64(ys)) => xs.append(ys),
+            (Col::Bool(xs), Col::Bool(ys)) => xs.append(ys),
+            (Col::Str(xs), Col::Str(ys)) => xs.append(ys),
+            _ => more.drain_values().iter().for_each(|v| self.push(v)),
+        }
+    }
+
+    /// The `kept > 0` elements whose `keep` flag is set, as pushing them
+    /// into a fresh column would build it (a mixed column whose survivors
+    /// share one type comes out typed).
+    fn select(&self, keep: &[bool], kept: usize) -> Col {
+        fn pick<T: Clone>(xs: &[T], keep: &[bool], kept: usize) -> Vec<T> {
+            if kept == xs.len() {
+                return xs.to_vec();
+            }
+            let mut out = Vec::with_capacity(kept);
+            out.extend(
+                xs.iter()
+                    .zip(keep)
+                    .filter(|(_, &k)| k)
+                    .map(|(x, _)| x.clone()),
+            );
+            out
+        }
+        match self {
+            Col::I64(xs) => Col::I64(pick(xs, keep, kept)),
+            Col::F64(xs) => Col::F64(pick(xs, keep, kept)),
+            Col::Bool(xs) => Col::Bool(pick(xs, keep, kept)),
+            Col::Str(xs) => Col::Str(pick(xs, keep, kept)),
+            Col::Mixed(xs) => {
+                let survivors = xs.iter().zip(keep).filter(|(_, &k)| k).map(|(x, _)| x);
+                let mut col = Col::new_for(survivors.clone().next().expect("kept > 0"));
+                survivors.for_each(|v| col.push(v));
+                col
             }
         }
     }
@@ -229,7 +286,30 @@ impl Run {
             Run::Rows(rows) => rows.len(),
         }
     }
+
+    /// Applies `f` to every element in order, short-circuiting on the
+    /// first error; the storage layout is matched once, not per element.
+    fn try_for_each<E>(&self, mut f: impl FnMut(Value) -> Result<(), E>) -> Result<(), E> {
+        match self {
+            Run::Scalar(Col::I64(xs)) => xs.iter().try_for_each(|&x| f(Value::I64(x))),
+            Run::Scalar(Col::F64(xs)) => xs.iter().try_for_each(|&x| f(Value::F64(x))),
+            Run::Scalar(Col::Bool(xs)) => xs.iter().try_for_each(|&x| f(Value::Bool(x))),
+            Run::Scalar(Col::Str(xs)) => xs.iter().try_for_each(|x| f(Value::Str(x.clone()))),
+            Run::Scalar(Col::Mixed(xs)) | Run::Rows(xs) => xs.iter().try_for_each(|x| f(x.clone())),
+            Run::Tuple { cols, .. } => (0..self.len()).try_for_each(|i| f(tuple_at(cols, i))),
+        }
+    }
 }
+
+/// Element `i` of a tuple run. The field iterator is exact-size, so the
+/// shared slice is the tuple's only allocation.
+fn tuple_at(cols: &[Col], i: usize) -> Value {
+    Value::tuple(cols.iter().map(|c| c.get(i)))
+}
+
+/// The widest tuple a column run holds: the wire format writes a run's
+/// arity in one byte. Wider tuples travel as rows.
+const MAX_ARITY: usize = u8::MAX as usize;
 
 /// Run tags on the wire.
 const RUN_ROWS: u8 = 0;
@@ -342,7 +422,7 @@ impl Batch {
                 col.push(v);
                 self.runs.push(Run::Scalar(col));
             }
-            Value::Tuple(fields) if !fields.is_empty() => {
+            Value::Tuple(fields) if (1..=MAX_ARITY).contains(&fields.len()) => {
                 if let Some(Run::Tuple { arity, cols }) = self.runs.last_mut() {
                     if *arity == fields.len() {
                         for (col, f) in cols.iter_mut().zip(fields.iter()) {
@@ -367,50 +447,33 @@ impl Batch {
         }
     }
 
-    /// Applies `f` to every element in order, short-circuiting on the
-    /// first error. The dispatch on storage layout happens **once per
-    /// run**: a monomorphic column's inner loop constructs each value
-    /// directly from the typed column, with no per-element enum
-    /// inspection of the input — the batch-at-a-time kernels are built on
-    /// this.
-    pub fn try_for_each<E>(&self, mut f: impl FnMut(Value) -> Result<(), E>) -> Result<(), E> {
-        for run in &self.runs {
-            match run {
-                Run::Scalar(Col::I64(xs)) => {
-                    for &x in xs {
-                        f(Value::I64(x))?;
-                    }
-                }
-                Run::Scalar(Col::F64(xs)) => {
-                    for &x in xs {
-                        f(Value::F64(x))?;
-                    }
-                }
-                Run::Scalar(Col::Bool(xs)) => {
-                    for &x in xs {
-                        f(Value::Bool(x))?;
-                    }
-                }
-                Run::Scalar(Col::Str(xs)) => {
-                    for x in xs {
-                        f(Value::Str(x.clone()))?;
-                    }
-                }
-                Run::Scalar(Col::Mixed(xs)) | Run::Rows(xs) => {
-                    for x in xs {
-                        f(x.clone())?;
-                    }
-                }
-                Run::Tuple { cols, .. } => {
-                    for i in 0..run.len() {
-                        f(Value::tuple(
-                            cols.iter().map(|c| c.get(i)).collect::<Vec<_>>(),
-                        ))?;
-                    }
-                }
+    /// Appends a whole non-empty column run, leaving the batch as pushing
+    /// the run's elements one by one would: it merges into the final run
+    /// when `push` would have extended that run. `run`'s own columns must
+    /// be what pushes into a fresh run build (so a scalar run's is typed).
+    fn append_run(&mut self, run: Run) {
+        debug_assert!(run.len() > 0, "push never leaves an empty run");
+        self.len += run.len();
+        match (self.runs.last_mut(), run) {
+            // `more` is typed; a scalar run extends only with its own type.
+            (Some(Run::Scalar(col)), Run::Scalar(more))
+                if std::mem::discriminant(col) == std::mem::discriminant(&more) =>
+            {
+                col.append(more)
             }
+            (
+                Some(Run::Tuple { arity, cols }),
+                Run::Tuple {
+                    arity: more,
+                    cols: more_cols,
+                },
+            ) if *arity == more => {
+                cols.iter_mut()
+                    .zip(more_cols)
+                    .for_each(|(c, m)| c.append(m));
+            }
+            (_, run) => self.runs.push(run),
         }
-        Ok(())
     }
 
     /// Iterates the batch's elements in order (reconstructing values from
@@ -419,9 +482,7 @@ impl Batch {
         self.runs.iter().flat_map(|run| {
             (0..run.len()).map(move |i| match run {
                 Run::Scalar(c) => c.get(i),
-                Run::Tuple { cols, .. } => {
-                    Value::tuple(cols.iter().map(|c| c.get(i)).collect::<Vec<_>>())
-                }
+                Run::Tuple { cols, .. } => tuple_at(cols, i),
                 Run::Rows(rows) => rows[i].clone(),
             })
         })
@@ -433,15 +494,9 @@ impl Batch {
         for run in self.runs {
             match run {
                 Run::Scalar(mut c) => out.append(&mut c.drain_values()),
-                Run::Tuple { arity: _, cols } => {
+                Run::Tuple { cols, .. } => {
                     let n = cols.first().map_or(0, Col::len);
-                    let field_vecs: Vec<Vec<Value>> =
-                        cols.into_iter().map(|mut c| c.drain_values()).collect();
-                    for i in 0..n {
-                        out.push(Value::tuple(
-                            field_vecs.iter().map(|f| f[i].clone()).collect::<Vec<_>>(),
-                        ));
-                    }
+                    out.extend((0..n).map(|i| tuple_at(&cols, i)));
                 }
                 Run::Rows(mut rows) => out.append(&mut rows),
             }
@@ -591,6 +646,8 @@ impl FromIterator<Value> for Batch {
     }
 }
 
+/// True when `v` extends the typed column `col`; nothing extends a mixed
+/// scalar column.
 fn col_matches(col: &Col, v: &Value) -> bool {
     matches!(
         (col, v),

@@ -52,8 +52,8 @@ impl ProgramBuilder {
         then: impl FnOnce(ProgramBuilder) -> ProgramBuilder,
         els: impl FnOnce(ProgramBuilder) -> ProgramBuilder,
     ) -> Self {
-        let then_body = then(ProgramBuilder::new()).stmts;
-        let else_body = els(ProgramBuilder::new()).stmts;
+        let then_body = block(then);
+        let else_body = block(els);
         self.stmts.push(Stmt::If {
             cond,
             then_body,
@@ -77,7 +77,7 @@ impl ProgramBuilder {
         cond: SurfExpr,
         body: impl FnOnce(ProgramBuilder) -> ProgramBuilder,
     ) -> Self {
-        let body = body(ProgramBuilder::new()).stmts;
+        let body = block(body);
         self.stmts.push(Stmt::While { cond, body });
         self
     }
@@ -88,7 +88,7 @@ impl ProgramBuilder {
         body: impl FnOnce(ProgramBuilder) -> ProgramBuilder,
         cond: SurfExpr,
     ) -> Self {
-        let body = body(ProgramBuilder::new()).stmts;
+        let body = block(body);
         self.stmts.push(Stmt::DoWhile { body, cond });
         self
     }
@@ -105,7 +105,7 @@ impl ProgramBuilder {
         let var: Arc<str> = Arc::from(var.as_ref());
         self.fresh += 1;
         let end: Arc<str> = Arc::from(format!("__built_for_end{}", self.fresh).as_str());
-        let mut stmts = body(ProgramBuilder::new()).stmts;
+        let mut stmts = block(body);
         stmts.push(Stmt::Assign {
             name: var.clone(),
             value: SurfExpr::bin(BinOp::Add, SurfExpr::Var(var.clone()), SurfExpr::lit(1i64)),
@@ -144,6 +144,19 @@ impl ProgramBuilder {
     pub fn build(self) -> Program {
         Program::new(self.stmts)
     }
+}
+
+/// The statements `body` appends to an empty builder.
+///
+/// Never inlined: rustc 1.95 at `-O` miscompiles two of these bodies
+/// inlined back to back into one frame (`if_else`'s `then` and `els`) — the
+/// second `Vec<Stmt>` aliases the first, so the `else` body also holds the
+/// `then` statements and dropping the `Stmt::If` frees them twice. The
+/// workspace has no `unsafe`; `builder_matches_parser_for_equivalent_source`
+/// aborts in `cargo test --release` if this attribute goes.
+#[inline(never)]
+fn block(body: impl FnOnce(ProgramBuilder) -> ProgramBuilder) -> Vec<Stmt> {
+    body(ProgramBuilder::new()).stmts
 }
 
 #[cfg(test)]

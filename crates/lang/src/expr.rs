@@ -15,6 +15,7 @@
 //! runtime is reported as an internal error.
 
 use crate::value::Value;
+use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
 
@@ -329,7 +330,7 @@ pub struct EvalError {
 }
 
 impl EvalError {
-    fn new(message: impl Into<String>) -> EvalError {
+    pub(crate) fn new(message: impl Into<String>) -> EvalError {
         EvalError {
             message: message.into(),
         }
@@ -357,33 +358,15 @@ pub fn eval(expr: &Expr, params: &[Value]) -> Result<Value, EvalError> {
                 params.len()
             ))
         }),
-        Expr::Tuple(es) => {
-            let fields: Result<Vec<Value>, EvalError> =
-                es.iter().map(|e| eval(e, params)).collect();
-            Ok(Value::tuple(fields?))
-        }
-        Expr::List(es) => {
-            let elems: Result<Vec<Value>, EvalError> = es.iter().map(|e| eval(e, params)).collect();
-            Ok(Value::list(elems?))
-        }
+        Expr::Tuple(es) => Ok(Value::Tuple(eval_fields(es, params)?)),
+        Expr::List(es) => Ok(Value::List(eval_fields(es, params)?)),
         Expr::Index(e, i) => {
             let v = eval(e, params)?;
             v.field(*i)
                 .cloned()
                 .ok_or_else(|| EvalError::new(format!("index {i} out of range on {v:?}")))
         }
-        Expr::Unary(op, e) => {
-            let v = eval(e, params)?;
-            match (op, &v) {
-                (UnOp::Neg, Value::I64(x)) => Ok(Value::I64(x.wrapping_neg())),
-                (UnOp::Neg, Value::F64(x)) => Ok(Value::F64(-x)),
-                (UnOp::Not, Value::Bool(b)) => Ok(Value::Bool(!b)),
-                _ => Err(EvalError::new(format!(
-                    "cannot apply {op:?} to {}",
-                    v.type_name()
-                ))),
-            }
-        }
+        Expr::Unary(op, e) => eval_unary(*op, &eval(e, params)?),
         Expr::Binary(BinOp::And, l, r) => {
             if expect_bool(eval(l, params)?)? {
                 Ok(Value::Bool(expect_bool(eval(r, params)?)?))
@@ -417,21 +400,162 @@ pub fn eval(expr: &Expr, params: &[Value]) -> Result<Value, EvalError> {
     }
 }
 
+/// Evaluates the fields of a tuple or list literal straight into their
+/// shared slice: the iterator is exact-size, so the `Arc<[Value]>` is the
+/// only allocation. After a failing field the rest are skipped.
+fn eval_fields(es: &[Expr], params: &[Value]) -> Result<Arc<[Value]>, EvalError> {
+    let mut failed = None;
+    let fields = es
+        .iter()
+        .map(|e| {
+            if failed.is_some() {
+                return Value::Unit;
+            }
+            eval(e, params).unwrap_or_else(|err| {
+                failed = Some(err);
+                Value::Unit
+            })
+        })
+        .collect();
+    match failed {
+        Some(err) => Err(err),
+        None => Ok(fields),
+    }
+}
+
 fn expect_bool(v: Value) -> Result<bool, EvalError> {
     v.as_bool()
         .ok_or_else(|| EvalError::new(format!("expected bool, got {}", v.type_name())))
 }
 
-fn eval_binary(op: BinOp, l: Value, r: Value) -> Result<Value, EvalError> {
-    use BinOp::*;
+// ---- Per-scalar rules ------------------------------------------------------
+//
+// The one definition of each typed operation. `eval` applies them to a pair
+// of `Value`s, the column evaluator (`crate::batch`) to whole columns; the
+// operator is a constant at every column call site, so the `match` folds
+// away there.
+
+/// Whether comparison `op` holds of operands that order as `ord` (the
+/// [`Value`] total order; `==` is `Ordering::Equal` under it).
+#[inline]
+pub(crate) fn cmp_holds(op: BinOp, ord: Ordering) -> bool {
     match op {
-        Eq => return Ok(Value::Bool(l == r)),
-        Ne => return Ok(Value::Bool(l != r)),
-        Lt => return Ok(Value::Bool(l.cmp(&r).is_lt())),
-        Le => return Ok(Value::Bool(l.cmp(&r).is_le())),
-        Gt => return Ok(Value::Bool(l.cmp(&r).is_gt())),
-        Ge => return Ok(Value::Bool(l.cmp(&r).is_ge())),
-        _ => {}
+        BinOp::Eq => ord.is_eq(),
+        BinOp::Ne => ord.is_ne(),
+        BinOp::Lt => ord.is_lt(),
+        BinOp::Le => ord.is_le(),
+        BinOp::Gt => ord.is_gt(),
+        BinOp::Ge => ord.is_ge(),
+        _ => unreachable!("not a comparison"),
+    }
+}
+
+/// Integer arithmetic: wrapping, with division and modulo by zero errors.
+#[inline]
+pub(crate) fn arith_i64(op: BinOp, a: i64, b: i64) -> Result<i64, EvalError> {
+    Ok(match op {
+        BinOp::Add => a.wrapping_add(b),
+        BinOp::Sub => a.wrapping_sub(b),
+        BinOp::Mul => a.wrapping_mul(b),
+        BinOp::Div => {
+            if b == 0 {
+                return Err(EvalError::new("integer division by zero"));
+            }
+            a.wrapping_div(b)
+        }
+        BinOp::Mod => {
+            if b == 0 {
+                return Err(EvalError::new("integer modulo by zero"));
+            }
+            a.wrapping_rem(b)
+        }
+        _ => unreachable!("not arithmetic"),
+    })
+}
+
+/// Float arithmetic (either operand was a float; integers were widened).
+#[inline]
+pub(crate) fn arith_f64(op: BinOp, a: f64, b: f64) -> f64 {
+    match op {
+        BinOp::Add => a + b,
+        BinOp::Sub => a - b,
+        BinOp::Mul => a * b,
+        BinOp::Div => a / b,
+        BinOp::Mod => a % b,
+        _ => unreachable!("not arithmetic"),
+    }
+}
+
+/// `-x` on integers wraps.
+#[inline]
+pub(crate) fn neg_i64(x: i64) -> i64 {
+    x.wrapping_neg()
+}
+
+/// `abs(x)` on integers wraps (`abs(i64::MIN)` is `i64::MIN`).
+#[inline]
+pub(crate) fn abs_i64(x: i64) -> i64 {
+    x.wrapping_abs()
+}
+
+/// `min`/`max` of two integers.
+#[inline]
+pub(crate) fn min_max_i64(func: Func, a: i64, b: i64) -> i64 {
+    if func == Func::Min {
+        a.min(b)
+    } else {
+        a.max(b)
+    }
+}
+
+/// `min`/`max` when either operand is a float (a NaN operand is ignored).
+#[inline]
+pub(crate) fn min_max_f64(func: Func, a: f64, b: f64) -> f64 {
+    if func == Func::Min {
+        a.min(b)
+    } else {
+        a.max(b)
+    }
+}
+
+/// `floor`/`ceil` to an integer (saturating, NaN is 0).
+#[inline]
+pub(crate) fn round_i64(func: Func, x: f64) -> i64 {
+    if func == Func::Floor {
+        x.floor() as i64
+    } else {
+        x.ceil() as i64
+    }
+}
+
+/// `i64(x)` of a float truncates (saturating, NaN is 0).
+#[inline]
+pub(crate) fn f64_to_i64(x: f64) -> i64 {
+    x as i64
+}
+
+/// `len(s)` of a string is its length in bytes.
+#[inline]
+pub(crate) fn str_len(s: &str) -> i64 {
+    s.len() as i64
+}
+
+pub(crate) fn eval_unary(op: UnOp, v: &Value) -> Result<Value, EvalError> {
+    match (op, v) {
+        (UnOp::Neg, Value::I64(x)) => Ok(Value::I64(neg_i64(*x))),
+        (UnOp::Neg, Value::F64(x)) => Ok(Value::F64(-x)),
+        (UnOp::Not, Value::Bool(b)) => Ok(Value::Bool(!b)),
+        _ => Err(EvalError::new(format!(
+            "cannot apply {op:?} to {}",
+            v.type_name()
+        ))),
+    }
+}
+
+pub(crate) fn eval_binary(op: BinOp, l: Value, r: Value) -> Result<Value, EvalError> {
+    use BinOp::*;
+    if matches!(op, Eq | Ne | Lt | Le | Gt | Ge) {
+        return Ok(Value::Bool(cmp_holds(op, l.cmp(&r))));
     }
     // `+` on strings is concatenation; the right side is stringified, which
     // is what `"pageVisitLog" + day` in the running example relies on.
@@ -444,53 +568,20 @@ fn eval_binary(op: BinOp, l: Value, r: Value) -> Result<Value, EvalError> {
         }
     }
     match (&l, &r) {
-        (Value::I64(a), Value::I64(b)) => {
-            let v = match op {
-                Add => a.wrapping_add(*b),
-                Sub => a.wrapping_sub(*b),
-                Mul => a.wrapping_mul(*b),
-                Div => {
-                    if *b == 0 {
-                        return Err(EvalError::new("integer division by zero"));
-                    }
-                    a.wrapping_div(*b)
-                }
-                Mod => {
-                    if *b == 0 {
-                        return Err(EvalError::new("integer modulo by zero"));
-                    }
-                    a.wrapping_rem(*b)
-                }
-                _ => unreachable!("comparisons handled above"),
-            };
-            Ok(Value::I64(v))
-        }
-        _ => {
-            let (a, b) = match (l.as_f64(), r.as_f64()) {
-                (Some(a), Some(b)) => (a, b),
-                _ => {
-                    return Err(EvalError::new(format!(
-                        "cannot apply `{}` to {} and {}",
-                        op.symbol(),
-                        l.type_name(),
-                        r.type_name()
-                    )))
-                }
-            };
-            let v = match op {
-                Add => a + b,
-                Sub => a - b,
-                Mul => a * b,
-                Div => a / b,
-                Mod => a % b,
-                _ => unreachable!("comparisons handled above"),
-            };
-            Ok(Value::F64(v))
-        }
+        (Value::I64(a), Value::I64(b)) => Ok(Value::I64(arith_i64(op, *a, *b)?)),
+        _ => match (l.as_f64(), r.as_f64()) {
+            (Some(a), Some(b)) => Ok(Value::F64(arith_f64(op, a, b))),
+            _ => Err(EvalError::new(format!(
+                "cannot apply `{}` to {} and {}",
+                op.symbol(),
+                l.type_name(),
+                r.type_name()
+            ))),
+        },
     }
 }
 
-fn eval_call(func: Func, args: &[Value]) -> Result<Value, EvalError> {
+pub(crate) fn eval_call(func: Func, args: &[Value]) -> Result<Value, EvalError> {
     if args.len() != func.arity() {
         return Err(EvalError::new(format!(
             "{} expects {} argument(s), got {}",
@@ -505,28 +596,16 @@ fn eval_call(func: Func, args: &[Value]) -> Result<Value, EvalError> {
     };
     match func {
         Func::Abs => match &args[0] {
-            Value::I64(v) => Ok(Value::I64(v.wrapping_abs())),
+            Value::I64(v) => Ok(Value::I64(abs_i64(*v))),
             Value::F64(v) => Ok(Value::F64(v.abs())),
             v => Err(EvalError::new(format!("abs expects a number, got {v:?}"))),
         },
         Func::Sqrt => Ok(Value::F64(num(&args[0])?.sqrt())),
         Func::Min | Func::Max => match (&args[0], &args[1]) {
-            (Value::I64(a), Value::I64(b)) => Ok(Value::I64(if func == Func::Min {
-                *a.min(b)
-            } else {
-                *a.max(b)
-            })),
-            (a, b) => {
-                let (x, y) = (num(a)?, num(b)?);
-                Ok(Value::F64(if func == Func::Min {
-                    x.min(y)
-                } else {
-                    x.max(y)
-                }))
-            }
+            (Value::I64(a), Value::I64(b)) => Ok(Value::I64(min_max_i64(func, *a, *b))),
+            (a, b) => Ok(Value::F64(min_max_f64(func, num(a)?, num(b)?))),
         },
-        Func::Floor => Ok(Value::I64(num(&args[0])?.floor() as i64)),
-        Func::Ceil => Ok(Value::I64(num(&args[0])?.ceil() as i64)),
+        Func::Floor | Func::Ceil => Ok(Value::I64(round_i64(func, num(&args[0])?))),
         Func::Hash => {
             use std::hash::{Hash, Hasher};
             let mut h = std::collections::hash_map::DefaultHasher::new();
@@ -536,7 +615,7 @@ fn eval_call(func: Func, args: &[Value]) -> Result<Value, EvalError> {
         Func::ToStr => Ok(Value::str(args[0].to_string())),
         Func::ToI64 => match &args[0] {
             Value::I64(v) => Ok(Value::I64(*v)),
-            Value::F64(v) => Ok(Value::I64(*v as i64)),
+            Value::F64(v) => Ok(Value::I64(f64_to_i64(*v))),
             Value::Bool(b) => Ok(Value::I64(*b as i64)),
             Value::Str(s) => s
                 .trim()
@@ -554,7 +633,7 @@ fn eval_call(func: Func, args: &[Value]) -> Result<Value, EvalError> {
             v => num(v).map(Value::F64),
         },
         Func::Len => match &args[0] {
-            Value::Str(s) => Ok(Value::I64(s.len() as i64)),
+            Value::Str(s) => Ok(Value::I64(str_len(s))),
             Value::Tuple(t) | Value::List(t) => Ok(Value::I64(t.len() as i64)),
             v => Err(EvalError::new(format!(
                 "len expects str/tuple/list, got {v:?}"

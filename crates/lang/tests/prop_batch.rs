@@ -100,6 +100,21 @@ proptest! {
     }
 }
 
+/// A run's arity is one byte on the wire: tuples wider than 255 fields
+/// travel as rows, next to column runs of the widest tuples that fit.
+#[test]
+fn wide_tuples_round_trip() {
+    let wide = |arity: i64| Value::tuple((0..arity).map(Value::I64));
+    for arity in [255, 256, 300] {
+        let elems = vec![wide(arity), wide(arity), wide(2), wide(arity)];
+        let batch = Batch::from_slice(&elems);
+        let wire = batch.encode();
+        assert_eq!(batch.encoded_len(), wire.len(), "arity {arity}");
+        let back = Batch::decode(&wire).unwrap_or_else(|e| panic!("arity {arity}: {e}"));
+        assert_eq!(back.into_values(), elems, "arity {arity}");
+    }
+}
+
 /// The empty batch is a fixed point of the codec.
 #[test]
 fn empty_batch_round_trips() {

@@ -27,6 +27,12 @@ if [ "$ignored_total" -ne 2 ]; then
         "run 'cargo test --workspace -- --list --ignored' and account for the rest" >&2
     exit 1
 fi
+# Every benchmark number comes from a release build of the value, batch
+# and kernel crates, and rustc has miscompiled this workspace at -O twice
+# (see builder.rs): their tests, the column-vs-row differential ones
+# included, must pass optimized too. (The ignored count above reads the
+# debug run only.)
+cargo test -q --release --offline -p mitos-lang -p mitos-ir
 cargo clippy --offline --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --offline --workspace
 
@@ -360,16 +366,23 @@ done
 # row-oriented containers and the legacy estimated wire accounting; the
 # computed outputs must be bit-identical on both drivers (only the byte
 # accounting, and therefore simulated network time, may differ).
+# log_pipeline.mt puts real columns through map/filter lambdas, so the two
+# runs also compare the column-at-a-time evaluator against the row loop.
+batch_log="$(mktemp)"
+seq 0 199 > "$batch_log"
 for eng in mitos threads; do
-    batch_on="$(./target/release/mitos run examples/nested_loops.mt \
-        --machines 3 --engine "$eng")"
-    batch_off="$(MITOS_BATCH_OFF=1 ./target/release/mitos run examples/nested_loops.mt \
-        --machines 3 --engine "$eng")"
-    [ "$batch_on" = "$batch_off" ] || {
-        echo "check.sh: MITOS_BATCH_OFF changed outputs on engine $eng" >&2
-        exit 1
-    }
+    for prog in examples/nested_loops.mt examples/log_pipeline.mt; do
+        batch_on="$(./target/release/mitos run "$prog" \
+            --machines 3 --engine "$eng" --input log="$batch_log")"
+        batch_off="$(MITOS_BATCH_OFF=1 ./target/release/mitos run "$prog" \
+            --machines 3 --engine "$eng" --input log="$batch_log")"
+        [ "$batch_on" = "$batch_off" ] || {
+            echo "check.sh: MITOS_BATCH_OFF changed outputs of $prog on engine $eng" >&2
+            exit 1
+        }
+    done
 done
+rm -f "$batch_log"
 
 # Execution-template cache: on a steady-state loop (long enough that the
 # path outgrows the suffix window and warmup misses stop dominating) the
@@ -448,5 +461,10 @@ if ls "${MITOS_BENCH_DIR:-bench_out}"/BENCH_*.json >/dev/null 2>&1; then
         exit 1
     }
 fi
+
+# The wall-clock benchmark's own check: tiny sizes, one second per pass;
+# every metric BENCHMARK.json names is reported, every job matches the
+# oracle.
+bash benchmark/selftest.sh
 
 echo "check.sh: all green"

@@ -241,6 +241,46 @@ fn arb_program() -> BoxedStrategy<Program> {
         .boxed()
 }
 
+/// A program whose lambdas mix nodes the column-at-a-time evaluator
+/// computes (arithmetic, comparisons, projections, `len`/`abs`, a
+/// list-literal `flatMap`, a captured loop variable) with nodes it hands
+/// back to the row loop (`&&`, `if`, string concatenation), over a bag long
+/// enough to form real columns — and, now and then, an empty one.
+fn arb_mixed_lambda_program() -> BoxedStrategy<Program> {
+    (prop::collection::vec(-40i64..400, 0..60), 1i64..6)
+        .prop_map(|(raw, c)| {
+            let elems: Vec<String> = raw.iter().map(i64::to_string).collect();
+            let src = format!(
+                r#"c = {c};
+raw = bag({elems});
+dec = raw.map(r => (r / 4, r % 4))
+    .filter(e => e[1] != 3 && e[0] >= 0)
+    .map(e => (e[0] % 7, if e[1] == 0 then e[0] else e[0] * c));
+hist = dec.flatMap(e => [e[0], e[1]]).map(v => (v % 5, 1)).reduceByKey((a, b) => a + b);
+named = dec.map(e => ("k" + e[0], abs(e[1] - 50))).filter(p => len(p[0]) > 1);
+total = 0;
+i = 0;
+while (i < 3) {{
+    total = total + hist.map(h => h[1] * c + i).sum();
+    i = i + 1;
+}}
+output(total, "total");
+output(hist, "hist");
+output(named, "named");
+"#,
+                elems = elems.join(", ")
+            );
+            mitos::lang::parse(&src).unwrap_or_else(|e| panic!("{e}\n{src}"))
+        })
+        .boxed()
+}
+
+/// The input of the plan-level "never changes results" properties: mostly
+/// random programs, plus the mixed-lambda one.
+fn arb_program_or_mixed_lambdas() -> BoxedStrategy<Program> {
+    prop_oneof![3 => arb_program(), 1 => arb_mixed_lambda_program()].boxed()
+}
+
 fn engines_agree(program: &Program, machines: u16, seed: u64) {
     let src = program.to_string();
     let func = match mitos::ir::compile(program) {
@@ -374,7 +414,7 @@ proptest! {
     /// thread-backed engine, under adversarial network jitter.
     #[test]
     fn fusion_never_changes_results(
-        program in arb_program(),
+        program in arb_program_or_mixed_lambdas(),
         machines in 1u16..5,
         seed in 0u64..1000,
     ) {
@@ -452,7 +492,7 @@ proptest! {
     /// counts and wire bytes legitimately differ; results never do.
     #[test]
     fn batch_size_never_changes_results(
-        program in arb_program(),
+        program in arb_program_or_mixed_lambdas(),
         machines in 1u16..5,
         seed in 0u64..1000,
     ) {
