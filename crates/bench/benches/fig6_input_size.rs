@@ -32,9 +32,7 @@ fn main() {
     // Larger network batches than the 1024-element default: with the
     // columnar wire encoding the per-message framing is what batching
     // amortizes, so the data-heavy sweep ships 4096 elements per
-    // `Msg::Data`. `BENCH_fig6.prebatch.json` preserves the pre-batching
-    // baseline (estimated bytes, 1024-element messages) that `check.sh`
-    // gates the improvement against.
+    // `Msg::Data`.
     let mitos_cfg = EngineConfig::new()
         .with_cost(visit_cost())
         .with_batch_elems(4096);

@@ -96,11 +96,8 @@ fn main() {
     }
     table.print();
     report.factor("spark_vs_mitos_step_max", max_spark);
-    if max_peak_resident > 0 {
-        // Deterministic under the simulator; omitted entirely when
-        // MITOS_MEM_OFF disabled the registry for an A/B run.
-        report.factor("mitos_peak_resident_bytes_max", max_peak_resident as f64);
-    }
+    // Deterministic under the simulator.
+    report.factor("mitos_peak_resident_bytes_max", max_peak_resident as f64);
 
     // Where does the per-step overhead go? One traced Mitos run at a
     // mid-sweep cluster size, decomposed into the control-plane phases

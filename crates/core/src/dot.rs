@@ -339,9 +339,6 @@ mod tests {
         let graph = crate::fuse::planned_graph(&func, &cfg).unwrap();
         let fs = InMemoryFs::new();
         let r = crate::engine::run_sim(&func, &fs, cfg, SimConfig::with_machines(2)).unwrap();
-        if !r.flow.enabled {
-            return; // MITOS_FLOW_OFF in the environment
-        }
         let dot = to_dot(
             &graph,
             &DotOverlay {
@@ -375,9 +372,6 @@ mod tests {
         let graph = crate::fuse::planned_graph(&func, &cfg).unwrap();
         let fs = InMemoryFs::new();
         let r = crate::engine::run_sim(&func, &fs, cfg, SimConfig::with_machines(2)).unwrap();
-        if !r.mem.enabled {
-            return; // MITOS_MEM_OFF in the environment
-        }
         let dot = to_dot(
             &graph,
             &DotOverlay {

@@ -72,13 +72,11 @@ pub struct EngineResult {
     pub snapshots: Vec<crate::obs::live::Snapshot>,
     /// Always-on per-edge data-plane flow accounting (elements, messages,
     /// serialized/wire/retransmitted bytes, relay-window watermarks,
-    /// queue-depth and backpressure samples), snapshotted at join. All
-    /// zeros (with `enabled: false`) when `MITOS_FLOW_OFF` is set.
+    /// queue-depth and backpressure samples), snapshotted at join.
     pub flow: crate::obs::flow::FlowReport,
     /// Always-on per-machine, per-retention-class memory/state residency
     /// accounting (live bags, elements, approximate bytes, high-water
-    /// marks), snapshotted at join. All zeros (with `enabled: false`) when
-    /// `MITOS_MEM_OFF` is set.
+    /// marks), snapshotted at join.
     pub mem: crate::obs::mem::MemReport,
 }
 

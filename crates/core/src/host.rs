@@ -12,7 +12,7 @@ use crate::graph::{EdgeId, NodeKind, OpId};
 use crate::obs::mem::{elems_bytes, MemClass};
 use crate::obs::{EventKind, InputRule, ObsBuf};
 use crate::path::{ExecutionPath, SendDecision};
-use crate::rt::{batch_wire_bytes, EngineShared, Msg, Net, RuntimeError, OUTPUT_PREFIX};
+use crate::rt::{EngineShared, Msg, Net, RuntimeError, OUTPUT_PREFIX};
 use crate::template::{
     self, HintStep, SelSlot, SelectionRecord, SendHint, SendStatus, TemplateCache,
 };
@@ -232,9 +232,7 @@ impl Host {
             .collect();
         let released_frontier = if shared.config.pipelined { u32::MAX } else { 0 };
         let machine = shared.graph.placement(op, inst);
-        let templates = (shared.config.templates
-            && !template::templates_off()
-            && !shared.config.faults.withhold_decisions)
+        let templates = (shared.config.templates && !shared.config.faults.withhold_decisions)
             .then(TemplateCache::new);
         Host {
             block: node.block,
@@ -659,197 +657,124 @@ impl Host {
         // re-scanning the path — emitting the identical events and running
         // the identical GC, so results cannot differ (see
         // [`crate::template`] for the window soundness argument).
-        let replay = self
+        let mut template_id = None;
+        let mut send_hints: Vec<Option<SendHint>> = Vec::new();
+        let mut replayed: Option<SelectionRecord> = None;
+        if let Some(t) = self
             .templates
             .as_mut()
             .and_then(|c| c.lookup(path.blocks(), len))
-            .map(|t| {
-                let hints: Vec<Option<SendHint>> = t
-                    .sends
-                    .iter()
-                    .map(|s| match s {
-                        SendStatus::Recorded { slice, sent } => Some(SendHint {
-                            slice: slice.clone(),
-                            sent: *sent,
-                            verified: 0,
-                        }),
-                        _ => None,
-                    })
-                    .collect();
-                (
-                    t.id,
-                    t.selection.phi_winner,
-                    t.selection.inputs.clone(),
-                    hints,
-                )
-            });
-        if self.templates.is_some() {
-            self.shared.telemetry.template_lookup(replay.is_some());
+            // A Φ template always records its winner; one that did not is
+            // not replayed.
+            .filter(|t| !is_phi || t.selection.phi_winner.is_some())
+        {
+            template_id = Some(t.id);
+            send_hints = t
+                .sends
+                .iter()
+                .map(|s| match s {
+                    SendStatus::Recorded { slice, sent } => Some(SendHint {
+                        slice: slice.clone(),
+                        sent: *sent,
+                        verified: 0,
+                    }),
+                    _ => None,
+                })
+                .collect();
+            replayed = Some(t.selection.clone());
+            // One suffix-key comparison replaces every selection scan.
+            out.net.charge(self.shared.config.cost.replay_cost());
         }
-        let mut template_id = None;
-        let mut send_hints: Vec<Option<SendHint>> = Vec::new();
+        if self.templates.is_some() {
+            self.shared.telemetry.template_lookup(replayed.is_some());
+        }
         // Selection data collected on the slow path for recording.
         let mut rec_phi: Option<(usize, u32)> = None;
         let mut rec_inputs: Vec<SelSlot> = Vec::new();
-        if let Some((id, phi_winner, slots, hints)) = replay {
-            template_id = Some(id);
-            send_hints = hints;
-            // One suffix-key comparison replaces every selection scan.
-            out.net.charge(self.shared.config.cost.replay_cost());
-            if is_phi {
-                let (win_idx, delta) = phi_winner.expect("phi template records a winner");
-                let win_len = len - delta;
-                for i in 0..n_inputs {
-                    sel.push((i == win_idx).then_some(win_len));
-                }
-                if out.obs.enabled() {
-                    out.obs.record(
-                        out.net,
-                        self.op,
-                        EventKind::InputSelected {
-                            edge: self.in_edges[win_idx],
-                            bag_len: win_len,
-                            rule: InputRule::PhiLatest,
-                        },
-                    );
-                }
-                for state in &mut self.inputs {
-                    Self::gc_input(state, win_len, &self.shared.mem, self.machine, self.op);
-                }
-            } else {
-                for (i, &e) in self.in_edges.iter().enumerate() {
-                    let l = slots[i].selected(len);
-                    if out.obs.enabled() {
-                        let r = &self.shared.rules.edges[e as usize];
-                        let rule =
-                            if r.src_block == r.dst_block && r.src_stmt < r.dst_stmt && l == len {
-                                InputRule::SameBlock
-                            } else {
-                                InputRule::LatestOccurrence
-                            };
-                        out.obs.record(
-                            out.net,
-                            self.op,
-                            EventKind::InputSelected {
-                                edge: e,
-                                bag_len: l,
-                                rule,
-                            },
+        // What the retain-GC below keeps on *every* input: a Φ's buffered
+        // bags older than the winner can never be selected again (candidate
+        // prefixes grow monotonically). Other operators keep per input.
+        let mut keep_all = None;
+        if is_phi {
+            let (win_idx, win_len) = match replayed.and_then(|r| r.phi_winner) {
+                Some((win_idx, delta)) => (win_idx, len - delta),
+                None => {
+                    // Φ choice: the input whose producing block occurred latest.
+                    let mut best: Option<(u32, usize)> = None;
+                    for (i, &e) in self.in_edges.iter().enumerate() {
+                        let c = self.shared.rules.select_input_len(e, path, pos);
+                        // The backward scan walked from this occurrence down to
+                        // the candidate's producer (or the whole prefix on a miss).
+                        out.net.charge(
+                            self.shared
+                                .config
+                                .cost
+                                .scan_cost(u64::from(c.map_or(len, |l| len - l + 1))),
                         );
+                        if let Some(l) = c {
+                            match best {
+                                Some((bl, _)) if bl >= l => {}
+                                _ => best = Some((l, i)),
+                            }
+                        }
                     }
-                    sel.push(Some(l));
-                }
-                for (i, state) in self.inputs.iter_mut().enumerate() {
-                    if let Some(keep) = sel[i] {
-                        Self::gc_input(state, keep, &self.shared.mem, self.machine, self.op);
-                    }
-                }
-            }
-        } else if is_phi {
-            // Φ choice: the input whose producing block occurred latest.
-            let mut best: Option<(u32, usize)> = None;
-            let mut candidates = Vec::with_capacity(n_inputs);
-            for (i, &e) in self.in_edges.iter().enumerate() {
-                let c = self.shared.rules.select_input_len(e, path, pos);
-                // The backward scan walked from this occurrence down to the
-                // candidate's producer (or the whole prefix on a miss).
-                out.net.charge(
-                    self.shared
-                        .config
-                        .cost
-                        .scan_cost(u64::from(c.map_or(len, |l| len - l + 1))),
-                );
-                if let Some(l) = c {
-                    match best {
-                        Some((bl, _)) if bl >= l => {}
-                        _ => best = Some((l, i)),
-                    }
-                }
-                candidates.push(c);
-            }
-            let (win_len, win_idx) = best.ok_or_else(|| {
-                RuntimeError::new(format!(
-                    "phi `{}` has no available input at path position {pos}",
-                    self.name
-                ))
-            })?;
-            rec_phi = Some((win_idx, len - win_len));
-            for (i, c) in candidates.iter().enumerate() {
-                sel.push(if i == win_idx { *c } else { None });
-            }
-            if out.obs.enabled() {
-                out.obs.record(
-                    out.net,
-                    self.op,
-                    EventKind::InputSelected {
-                        edge: self.in_edges[win_idx],
-                        bag_len: win_len,
-                        rule: InputRule::PhiLatest,
-                    },
-                );
-            }
-            // GC: buffered bags older than the winner can never be selected
-            // again (candidate prefixes grow monotonically).
-            for state in &mut self.inputs {
-                Self::gc_input(state, win_len, &self.shared.mem, self.machine, self.op);
-            }
-        } else {
-            for (i, &e) in self.in_edges.iter().enumerate() {
-                let l = self
-                    .shared
-                    .rules
-                    .select_input_len(e, path, pos)
-                    .ok_or_else(|| {
+                    let (win_len, win_idx) = best.ok_or_else(|| {
                         RuntimeError::new(format!(
-                            "input {i} of `{}` has no producer occurrence before \
-                             path position {pos} (invalid SSA?)",
+                            "phi `{}` has no available input at path position {pos}",
                             self.name
                         ))
                     })?;
-                // The backward scan examined every block between this
-                // occurrence and the selected producer occurrence.
-                out.net
-                    .charge(self.shared.config.cost.scan_cost(u64::from(len - l + 1)));
-                // Loop-invariant producers (block in no loop → at most one
-                // occurrence per run) record their selection absolutely;
-                // everything else records a window-bounded delta.
-                let delta = len - l;
-                rec_inputs.push(
-                    if (delta as usize) > template::WINDOW
-                        && self.shared.rules.edges[e as usize].once
-                    {
-                        SelSlot::Absolute(l)
-                    } else {
-                        SelSlot::Delta(delta)
-                    },
-                );
-                if out.obs.enabled() {
-                    // Which prefix rule fired (5.2.3): a same-block producer
-                    // earlier in this very occurrence, or the latest earlier
-                    // occurrence of the producing block.
-                    let r = &self.shared.rules.edges[e as usize];
-                    let rule = if r.src_block == r.dst_block && r.src_stmt < r.dst_stmt && l == len
-                    {
-                        InputRule::SameBlock
-                    } else {
-                        InputRule::LatestOccurrence
-                    };
-                    out.obs.record(
-                        out.net,
-                        self.op,
-                        EventKind::InputSelected {
-                            edge: e,
-                            bag_len: l,
-                            rule,
-                        },
-                    );
+                    rec_phi = Some((win_idx, len - win_len));
+                    (win_idx, win_len)
                 }
+            };
+            sel.extend((0..n_inputs).map(|i| (i == win_idx).then_some(win_len)));
+            self.record_input_selected(self.in_edges[win_idx], win_len, len, out);
+            keep_all = Some(win_len);
+        } else {
+            for (i, &e) in self.in_edges.iter().enumerate() {
+                let l = match &replayed {
+                    Some(r) => r.inputs[i].selected(len),
+                    None => {
+                        let l = self
+                            .shared
+                            .rules
+                            .select_input_len(e, path, pos)
+                            .ok_or_else(|| {
+                                RuntimeError::new(format!(
+                                    "input {i} of `{}` has no producer occurrence before \
+                                     path position {pos} (invalid SSA?)",
+                                    self.name
+                                ))
+                            })?;
+                        // The backward scan examined every block between this
+                        // occurrence and the selected producer occurrence.
+                        out.net
+                            .charge(self.shared.config.cost.scan_cost(u64::from(len - l + 1)));
+                        // Loop-invariant producers (block in no loop → at most
+                        // one occurrence per run) record their selection
+                        // absolutely; everything else records a
+                        // window-bounded delta.
+                        let delta = len - l;
+                        rec_inputs.push(
+                            if (delta as usize) > template::WINDOW
+                                && self.shared.rules.edges[e as usize].once
+                            {
+                                SelSlot::Absolute(l)
+                            } else {
+                                SelSlot::Delta(delta)
+                            },
+                        );
+                        l
+                    }
+                };
+                self.record_input_selected(e, l, len, out);
                 sel.push(Some(l));
             }
-            for (i, state) in self.inputs.iter_mut().enumerate() {
-                if let Some(keep) = sel[i] {
-                    Self::gc_input(state, keep, &self.shared.mem, self.machine, self.op);
-                }
+        }
+        for (state, own) in self.inputs.iter_mut().zip(&sel) {
+            if let Some(keep) = keep_all.or(*own) {
+                Self::gc_input(state, keep, &self.shared.mem, self.machine, self.op);
             }
         }
 
@@ -1010,6 +935,33 @@ impl Host {
             self.recording_sends.insert(len, id);
         }
         Ok(())
+    }
+
+    /// Records which bag of input `edge` the bag of identifier length
+    /// `len` selected, and by which prefix rule (5.2.3): the Φ choice, a
+    /// same-block producer earlier in this very occurrence, or the latest
+    /// earlier occurrence of the producing block.
+    fn record_input_selected(&self, edge: EdgeId, bag_len: u32, len: u32, out: &mut HostOut) {
+        if !out.obs.enabled() {
+            return;
+        }
+        let r = &self.shared.rules.edges[edge as usize];
+        let rule = if matches!(*self.kind, NodeKind::Phi) {
+            InputRule::PhiLatest
+        } else if r.src_block == r.dst_block && r.src_stmt < r.dst_stmt && bag_len == len {
+            InputRule::SameBlock
+        } else {
+            InputRule::LatestOccurrence
+        };
+        out.obs.record(
+            out.net,
+            self.op,
+            EventKind::InputSelected {
+                edge,
+                bag_len,
+                rule,
+            },
+        );
     }
 
     // --- Input consumption ------------------------------------------------
@@ -1740,9 +1692,8 @@ impl Host {
 
     /// Chunks routed elements into columnar [`Batch`]es of at most
     /// `cost.batch_elems` elements and ships each as one [`Msg::Data`],
-    /// charging the batch's **actual encoded wire size** (or the legacy
-    /// estimate under the `MITOS_BATCH_OFF` kill switch — see
-    /// [`batch_wire_bytes`]) to the network and the flow registry.
+    /// charging the batch's **actual encoded wire size** to the network
+    /// and the flow registry.
     fn send_batches(
         &self,
         edge: EdgeId,
@@ -1756,7 +1707,11 @@ impl Host {
         let max_elems = self.shared.config.cost.batch_elems.max(1);
         for chunk in elems.chunks(max_elems) {
             let batch = Batch::from_slice(chunk);
-            let bytes = self.shared.config.cost.wire_bytes(batch_wire_bytes(&batch));
+            let bytes = self
+                .shared
+                .config
+                .cost
+                .wire_bytes(batch.encoded_len() as u64);
             self.shared
                 .flow
                 .msg_out(edge, self.machine, machine, batch.len() as u64, bytes);

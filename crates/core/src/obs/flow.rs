@@ -14,13 +14,10 @@
 //!
 //! Design constraints, matching the telemetry hub and flight recorder:
 //! - **Zero virtual time**: no counter update touches [`crate::rt::Net`],
-//!   so simulated results are bit-identical with accounting on or off.
+//!   so accounting cannot move a simulated result.
 //! - **Sharded single writers**: each `(edge, machine)` shard is written
 //!   only by that machine's worker thread, so relaxed atomics suffice and
 //!   per-shard reads can never observe a counter moving backwards.
-//! - **Kill switch**: `MITOS_FLOW_OFF` (read once per process) turns every
-//!   bump into a single branch, for A/B overhead measurements — mirroring
-//!   `MITOS_FLIGHT_OFF` on the flight recorder.
 //!
 //! The drivers sample queue depths into the registry from their existing
 //! sampling loops (`Sim::run_sampled` between events at exact virtual-time
@@ -36,7 +33,6 @@
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 
 use crate::graph::{EdgeId, LogicalGraph};
 use crate::obs::fmt_ns;
@@ -48,11 +44,6 @@ const RELAXED: Ordering = Ordering::Relaxed;
 /// Unacked relay-window size at or above which an edge counts as
 /// backpressured for the duration of one sampling interval.
 pub const BACKPRESSURE_WINDOW: u64 = 4;
-
-fn flow_off() -> bool {
-    static OFF: OnceLock<bool> = OnceLock::new();
-    *OFF.get_or_init(|| std::env::var_os("MITOS_FLOW_OFF").is_some())
-}
 
 /// Send-side counters for one `(edge, source machine)` shard. Single
 /// writer: the source machine's worker thread.
@@ -90,16 +81,12 @@ struct EdgeLane {
 pub struct FlowRegistry {
     lanes: Vec<EdgeLane>,
     inbox_hwm: Vec<AtomicU64>,
-    enabled: bool,
 }
 
 impl FlowRegistry {
     /// Allocates per-`(edge, machine)` shards for a graph with `edges`
-    /// edges on `machines` machines. Honors `MITOS_FLOW_OFF` (read once
-    /// per process): when set, every bump is a single branch and the
-    /// snapshot reports the registry as disabled.
+    /// edges on `machines` machines.
     pub fn new(machines: u16, edges: usize) -> FlowRegistry {
-        let enabled = !flow_off();
         let lanes = (0..edges)
             .map(|_| EdgeLane {
                 out: (0..machines).map(|_| OutShard::default()).collect(),
@@ -110,13 +97,7 @@ impl FlowRegistry {
         FlowRegistry {
             lanes,
             inbox_hwm: (0..machines).map(|_| AtomicU64::new(0)).collect(),
-            enabled,
         }
-    }
-
-    /// Whether accounting is active (i.e. `MITOS_FLOW_OFF` is unset).
-    pub fn enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Records one logical data-plane send on `edge` from machine `src`
@@ -125,9 +106,6 @@ impl FlowRegistry {
     /// crosses machines).
     #[inline]
     pub fn msg_out(&self, edge: EdgeId, src: u16, dst: u16, elems: u64, bytes: u64) {
-        if !self.enabled {
-            return;
-        }
         let Some(shard) = self
             .lanes
             .get(edge as usize)
@@ -149,9 +127,6 @@ impl FlowRegistry {
     /// so `sum(messages_in) == data_messages` holds exactly.
     #[inline]
     pub fn msg_in(&self, edge: EdgeId, dst: u16, elems: u64) {
-        if !self.enabled {
-            return;
-        }
         let Some(shard) = self
             .lanes
             .get(edge as usize)
@@ -167,9 +142,6 @@ impl FlowRegistry {
     /// machine `src` (the relay's `on_tick` resend loop).
     #[inline]
     pub fn retransmit(&self, edge: EdgeId, src: u16, bytes: u64) {
-        if !self.enabled {
-            return;
-        }
         let Some(shard) = self
             .lanes
             .get(edge as usize)
@@ -185,9 +157,6 @@ impl FlowRegistry {
     /// sender `src`, updating the high-watermark.
     #[inline]
     pub fn inflight_inc(&self, edge: EdgeId, src: u16) {
-        if !self.enabled {
-            return;
-        }
         let Some(shard) = self
             .lanes
             .get(edge as usize)
@@ -205,9 +174,6 @@ impl FlowRegistry {
     /// relay window at sender `src`.
     #[inline]
     pub fn inflight_dec(&self, edge: EdgeId, src: u16) {
-        if !self.enabled {
-            return;
-        }
         let Some(shard) = self
             .lanes
             .get(edge as usize)
@@ -231,9 +197,6 @@ impl FlowRegistry {
     /// touches the [`crate::rt::Net`], so sampling stays free of virtual
     /// time.
     pub fn sample_queues(&self, depths: &[usize], interval_ns: u64) {
-        if !self.enabled {
-            return;
-        }
         for (hwm, &d) in self.inbox_hwm.iter().zip(depths) {
             if d as u64 > hwm.load(RELAXED) {
                 hwm.store(d as u64, RELAXED);
@@ -252,12 +215,9 @@ impl FlowRegistry {
 
     /// The edge currently carrying the most serialized bytes, as
     /// `(edge, bytes, elements)` — the `--watch` hottest-edge line. `None`
-    /// until any data-plane bytes moved (or when disabled). Ties break
+    /// until any data-plane bytes moved. Ties break
     /// toward the lowest edge id, keeping simulator runs deterministic.
     pub fn hottest(&self) -> Option<(EdgeId, u64, u64)> {
-        if !self.enabled {
-            return None;
-        }
         self.lanes
             .iter()
             .enumerate()
@@ -305,7 +265,6 @@ impl FlowRegistry {
             })
             .collect();
         FlowReport {
-            enabled: self.enabled,
             edges,
             inbox_hwm: self.inbox_hwm.iter().map(|h| h.load(RELAXED)).collect(),
         }
@@ -409,8 +368,6 @@ impl EdgeFlow {
 /// [`crate::engine::EngineResult::flow`] and `Outcome::flow()`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FlowReport {
-    /// False when `MITOS_FLOW_OFF` suppressed accounting (all zeros then).
-    pub enabled: bool,
     /// Per-edge totals, indexed by edge id.
     pub edges: Vec<EdgeFlow>,
     /// Per-machine inbox-occupancy high-watermarks from queue sampling.
@@ -517,10 +474,6 @@ impl FlowReport {
     /// totals, per-machine skew, and observed per-operator selectivity.
     pub fn render(&self, graph: &LogicalGraph) -> String {
         let mut out = String::new();
-        if !self.enabled {
-            out.push_str("flow accounting disabled (MITOS_FLOW_OFF)\n");
-            return out;
-        }
         out.push_str("top edges by bytes:\n");
         let _ = writeln!(
             out,
@@ -607,8 +560,8 @@ impl FlowReport {
     }
 
     /// Per-edge rows for the `explain` report: hottest first, only edges
-    /// that carried traffic. Empty output when nothing flowed (or when
-    /// disabled), keeping existing explain output byte-stable.
+    /// that carried traffic. Empty output when nothing flowed, keeping
+    /// existing explain output byte-stable.
     pub fn explain_rows(&self, graph: &LogicalGraph) -> String {
         let edges = self.edges_by_bytes();
         if edges.is_empty() {
@@ -757,9 +710,8 @@ impl FlowReport {
         let mut out = String::new();
         let _ = write!(
             out,
-            "{{\"enabled\":{},\"messages\":{},\"elements\":{},\"bytes\":{},\
+            "{{\"messages\":{},\"elements\":{},\"bytes\":{},\
              \"bytes_on_wire\":{},\"retransmitted_bytes\":{},\"edges\":[",
-            self.enabled,
             self.messages_in_total(),
             self.elements_in_total(),
             self.bytes_total(),
@@ -833,9 +785,6 @@ mod tests {
     #[test]
     fn counters_accumulate_per_shard() {
         let reg = FlowRegistry::new(2, 3);
-        if !reg.enabled() {
-            return; // MITOS_FLOW_OFF set in the environment
-        }
         reg.msg_out(1, 0, 1, 10, 100);
         reg.msg_out(1, 0, 0, 5, 50);
         reg.msg_out(1, 1, 0, 2, 20);
@@ -860,9 +809,6 @@ mod tests {
     #[test]
     fn inflight_watermark_tracks_peak() {
         let reg = FlowRegistry::new(2, 2);
-        if !reg.enabled() {
-            return;
-        }
         for _ in 0..5 {
             reg.inflight_inc(0, 0);
         }
@@ -890,9 +836,6 @@ mod tests {
     #[test]
     fn hottest_edge_prefers_bytes_then_lowest_id() {
         let reg = FlowRegistry::new(1, 3);
-        if !reg.enabled() {
-            return;
-        }
         assert_eq!(reg.hottest(), None, "no traffic, no hottest edge");
         reg.msg_out(0, 0, 0, 1, 50);
         reg.msg_out(2, 0, 0, 9, 50);
@@ -907,9 +850,6 @@ mod tests {
     fn render_and_prometheus_cover_edges_and_selectivity() {
         let graph = toy_graph();
         let reg = FlowRegistry::new(2, graph.edges.len());
-        if !reg.enabled() {
-            return;
-        }
         // Pretend edge 0 (readFile+map.. → reduce-ish) carried traffic.
         reg.msg_out(0, 0, 1, 40, 400);
         reg.msg_in(0, 1, 40);
@@ -950,9 +890,6 @@ mod tests {
         reg.msg_out(0, 0, 1, 40, 400);
         let r = reg.snapshot();
         assert!(r.backpressure_lines(&graph).is_empty());
-        if !reg.enabled() {
-            return;
-        }
         for _ in 0..BACKPRESSURE_WINDOW {
             reg.inflight_inc(0, 0);
         }

@@ -317,7 +317,7 @@ pub struct Snapshot {
     /// Resident state as `(current bytes, peak bytes)` across all machines
     /// — filled in by the drivers from the memory registry
     /// ([`crate::obs::mem::MemRegistry::watch_cell`]); [`None`] before any
-    /// residency (or when `MITOS_MEM_OFF` is set).
+    /// residency.
     pub mem: Option<(u64, u64)>,
     /// Template-cache counters so far, as
     /// `(hits, misses, invalidations)` — all zero when templates are

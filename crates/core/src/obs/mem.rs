@@ -22,12 +22,9 @@
 //!
 //! Design constraints, matching the flow registry and flight recorder:
 //! - **Zero virtual time**: no charge/credit touches [`crate::rt::Net`],
-//!   so simulated results are bit-identical with accounting on or off.
+//!   so accounting cannot move a simulated result.
 //! - **Sharded single writers**: each `(machine, class)` shard is written
 //!   only by that machine's worker thread, so relaxed atomics suffice.
-//! - **Kill switch**: `MITOS_MEM_OFF` (read once per process) turns every
-//!   charge into a single branch, for A/B overhead measurements —
-//!   mirroring `MITOS_FLOW_OFF` on the flow registry.
 //!
 //! High-water marks are maintained inline on every charge (default runs
 //! never tick) and refreshed from the gauges on the drivers' existing
@@ -44,7 +41,6 @@
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 
 use crate::graph::LogicalGraph;
 use crate::obs::event::OP_NONE;
@@ -60,11 +56,6 @@ pub const DEDUP_ENTRY_BYTES: u64 = 8;
 /// Per-envelope overhead of a relay [`crate::rt::Msg::Reliable`] wrapper,
 /// matching the wire-byte surcharge the relay itself pays.
 pub const ENVELOPE_BYTES: u64 = 24;
-
-fn mem_off() -> bool {
-    static OFF: OnceLock<bool> = OnceLock::new();
-    *OFF.get_or_init(|| std::env::var_os("MITOS_MEM_OFF").is_some())
-}
 
 /// Why a resident bag (or bag-shaped buffer) is still in memory — the
 /// retention attribution axis of the registry.
@@ -156,14 +147,11 @@ pub struct MemRegistry {
     op_bytes: Vec<AtomicU64>,
     op_bytes_hwm: Vec<AtomicU64>,
     ops: usize,
-    enabled: bool,
 }
 
 impl MemRegistry {
     /// Allocates per-`(machine, class)` and per-`(machine, op)` shards for
-    /// a graph with `ops` operators on `machines` machines. Honors
-    /// `MITOS_MEM_OFF` (read once per process): when set, every charge is
-    /// a single branch and the snapshot reports the registry as disabled.
+    /// a graph with `ops` operators on `machines` machines.
     pub fn new(machines: u16, ops: usize) -> MemRegistry {
         let n = machines as usize;
         MemRegistry {
@@ -171,13 +159,7 @@ impl MemRegistry {
             op_bytes: (0..n * ops).map(|_| AtomicU64::new(0)).collect(),
             op_bytes_hwm: (0..n * ops).map(|_| AtomicU64::new(0)).collect(),
             ops,
-            enabled: !mem_off(),
         }
-    }
-
-    /// Whether accounting is active (i.e. `MITOS_MEM_OFF` is unset).
-    pub fn enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Charges `bags` live bags, `elems` elements and `bytes` approximate
@@ -195,9 +177,6 @@ impl MemRegistry {
         elems: u64,
         bytes: u64,
     ) {
-        if !self.enabled {
-            return;
-        }
         let Some(shard) = self.machines.get(machine as usize) else {
             return;
         };
@@ -229,9 +208,6 @@ impl MemRegistry {
         elems: u64,
         bytes: u64,
     ) {
-        if !self.enabled {
-            return;
-        }
         let Some(shard) = self.machines.get(machine as usize) else {
             return;
         };
@@ -251,9 +227,6 @@ impl MemRegistry {
     /// high-water mark from its gauge. Never touches the
     /// [`crate::rt::Net`], so sampling stays free of virtual time.
     pub fn sample(&self) {
-        if !self.enabled {
-            return;
-        }
         for shard in &self.machines {
             for c in &shard.classes {
                 raise_hwm(&c.bytes_hwm, c.bytes.load(RELAXED));
@@ -267,12 +240,8 @@ impl MemRegistry {
 
     /// The `--watch` peak-resident cell: `(current resident bytes, peak)`
     /// across all machines and classes. `None` until any state was
-    /// resident (or when disabled), keeping quiet watch tables
-    /// byte-stable.
+    /// resident, keeping quiet watch tables byte-stable.
     pub fn watch_cell(&self) -> Option<(u64, u64)> {
-        if !self.enabled {
-            return None;
-        }
         let cur: u64 = self.machines.iter().map(|s| s.resident.load(RELAXED)).sum();
         let peak: u64 = self
             .machines
@@ -313,7 +282,6 @@ impl MemRegistry {
             }
         }
         MemReport {
-            enabled: self.enabled,
             machines,
             op_bytes,
             op_bytes_hwm,
@@ -359,8 +327,6 @@ pub struct MachineMem {
 /// [`crate::engine::EngineResult::mem`] and `Outcome::mem()`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MemReport {
-    /// False when `MITOS_MEM_OFF` suppressed accounting (all zeros then).
-    pub enabled: bool,
     /// Per-machine totals, indexed by machine.
     pub machines: Vec<MachineMem>,
     /// Current resident bytes per operator (summed over machines).
@@ -419,7 +385,7 @@ impl MemReport {
     /// Retained-state attribution lines for
     /// [`crate::obs::watchdog::StallReport`]: one per `(machine, class)`
     /// with live residency, machines in order. Empty when nothing is
-    /// resident (or when disabled), keeping healthy reports byte-stable.
+    /// resident, keeping healthy reports byte-stable.
     pub fn retained_lines(&self) -> Vec<String> {
         let mut lines = Vec::new();
         for (m, shard) in self.machines.iter().enumerate() {
@@ -466,10 +432,6 @@ impl MemReport {
     /// resident bytes.
     pub fn render(&self, graph: &LogicalGraph) -> String {
         let mut out = String::new();
-        if !self.enabled {
-            out.push_str("memory accounting disabled (MITOS_MEM_OFF)\n");
-            return out;
-        }
         out.push_str("state residency by class:\n");
         let _ = writeln!(
             out,
@@ -534,10 +496,10 @@ impl MemReport {
     }
 
     /// Per-class residency rows for the `explain` report. Empty output
-    /// when no state was ever resident (or when disabled), keeping
-    /// existing explain output byte-stable.
+    /// when no state was ever resident, keeping existing explain output
+    /// byte-stable.
     pub fn explain_rows(&self) -> String {
-        if !self.enabled || self.peak_resident() == 0 {
+        if self.peak_resident() == 0 {
             return String::new();
         }
         let mut out = String::new();
@@ -651,9 +613,8 @@ impl MemReport {
         let mut out = String::new();
         let _ = write!(
             out,
-            "{{\"enabled\":{},\"resident_bytes\":{},\"peak_resident_bytes\":{},\
-             \"leak_free\":{},\"non_cache_bags\":{},\"non_cache_bytes\":{},\"classes\":[",
-            self.enabled,
+            "{{\"resident_bytes\":{},\"peak_resident_bytes\":{},\"leak_free\":{},\
+             \"non_cache_bags\":{},\"non_cache_bytes\":{},\"classes\":[",
             self.resident_total(),
             self.peak_resident(),
             self.leak_free(),
@@ -727,9 +688,6 @@ mod tests {
     #[test]
     fn charges_credit_and_track_peaks() {
         let reg = MemRegistry::new(2, 4);
-        if !reg.enabled() {
-            return; // MITOS_MEM_OFF set in the environment
-        }
         reg.charge(MemClass::AwaitingInputs, 0, 1, 2, 10, 100);
         reg.charge(MemClass::AwaitingInputs, 0, 1, 1, 5, 50);
         reg.charge(MemClass::HoistCache, 1, 2, 1, 3, 30);
@@ -753,9 +711,6 @@ mod tests {
     #[test]
     fn credits_saturate_instead_of_wrapping() {
         let reg = MemRegistry::new(1, 1);
-        if !reg.enabled() {
-            return;
-        }
         reg.charge(MemClass::RelayBuf, 0, OP_NONE, 1, 0, 40);
         reg.credit(MemClass::RelayBuf, 0, OP_NONE, 2, 5, 100);
         let r = reg.snapshot();
@@ -767,9 +722,6 @@ mod tests {
     #[test]
     fn sample_refreshes_watermarks_and_watch_cell() {
         let reg = MemRegistry::new(1, 2);
-        if !reg.enabled() {
-            return;
-        }
         assert_eq!(reg.watch_cell(), None, "nothing resident yet");
         reg.charge(MemClass::AwaitingBarrier, 0, 0, 1, 4, 64);
         reg.sample();
@@ -781,9 +733,6 @@ mod tests {
     #[test]
     fn retained_lines_stay_empty_when_drained() {
         let reg = MemRegistry::new(2, 1);
-        if !reg.enabled() {
-            return;
-        }
         assert!(reg.snapshot().retained_lines().is_empty());
         reg.charge(MemClass::DedupTable, 1, OP_NONE, 3, 0, 24);
         reg.charge(MemClass::HoistCache, 0, 0, 1, 2, 20);
@@ -800,9 +749,6 @@ mod tests {
     fn render_prometheus_and_json_cover_classes_and_ops() {
         let graph = toy_graph();
         let reg = MemRegistry::new(2, graph.nodes.len());
-        if !reg.enabled() {
-            return;
-        }
         reg.charge(MemClass::AwaitingInputs, 0, 0, 1, 40, 400);
         let r = reg.snapshot();
         let text = r.render(&graph);
@@ -827,7 +773,7 @@ mod tests {
             "{prom}"
         );
         let json = r.to_json(&graph);
-        assert!(json.starts_with("{\"enabled\":true"), "{json}");
+        assert!(json.starts_with("{\"resident_bytes\":"), "{json}");
         assert!(json.contains("\"class\":\"awaiting-inputs\""), "{json}");
         assert!(json.contains("\"leak_free\":false"), "{json}");
         let rows = r.explain_rows();

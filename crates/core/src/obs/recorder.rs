@@ -7,8 +7,7 @@
 //!   allocated once at engine start — `machines × 64 × 16` bytes, never
 //!   grown.
 //! - **Zero virtual time**: recording never touches [`crate::rt::Net`],
-//!   so the simulator's clock is unaffected *by construction* — sim
-//!   results stay bit-identical whether the recorder is on or off.
+//!   so the simulator's clock is unaffected *by construction*.
 //! - **Lock-free**: each lane has a single writer (its worker), so a
 //!   relaxed `fetch_add` cursor plus relaxed slot stores suffice; the
 //!   dumper may observe a torn `(t_ns, word)` pair for the slot being
@@ -20,7 +19,6 @@
 //! few messages every worker saw — regardless of the obs level.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 
 use crate::obs::fmt_ns;
 use crate::rt::Msg;
@@ -60,22 +58,11 @@ struct Lane {
 #[derive(Debug)]
 pub struct FlightRecorder {
     lanes: Vec<Lane>,
-    enabled: bool,
-}
-
-fn flight_off() -> bool {
-    static OFF: OnceLock<bool> = OnceLock::new();
-    *OFF.get_or_init(|| std::env::var_os("MITOS_FLIGHT_OFF").is_some())
 }
 
 impl FlightRecorder {
-    /// Allocates one lane per machine. Honors the `MITOS_FLIGHT_OFF`
-    /// environment variable (read once per process) for A/B overhead
-    /// measurements; when set, [`record`](Self::record) is a single
-    /// branch and [`dump_lines`](Self::dump_lines) reports the recorder
-    /// as disabled.
+    /// Allocates one lane per machine.
     pub fn new(machines: u16) -> FlightRecorder {
-        let enabled = !flight_off();
         let lanes = (0..machines)
             .map(|_| Lane {
                 cursor: AtomicU64::new(0),
@@ -87,7 +74,7 @@ impl FlightRecorder {
                     .collect(),
             })
             .collect();
-        FlightRecorder { lanes, enabled }
+        FlightRecorder { lanes }
     }
 
     /// Records one handled message into `machine`'s lane. Never reads the
@@ -96,9 +83,6 @@ impl FlightRecorder {
     /// zero virtual time. Single branch + two relaxed stores.
     #[inline]
     pub fn record(&self, machine: u16, now_ns: u64, msg: &Msg) {
-        if !self.enabled {
-            return;
-        }
         let Some(lane) = self.lanes.get(machine as usize) else {
             return;
         };
@@ -115,9 +99,6 @@ impl FlightRecorder {
     /// Reads are relaxed, so a slot being overwritten concurrently may
     /// render torn — acceptable for a post-mortem aid.
     pub fn dump_lines(&self) -> Vec<String> {
-        if !self.enabled {
-            return vec!["flight recorder disabled (MITOS_FLIGHT_OFF)".into()];
-        }
         self.lanes
             .iter()
             .enumerate()
@@ -184,9 +165,6 @@ mod tests {
     #[test]
     fn records_and_dumps_in_order() {
         let rec = FlightRecorder::new(2);
-        if !rec.enabled {
-            return; // MITOS_FLIGHT_OFF set in the environment
-        }
         rec.record(0, 100, &Msg::Release { pos: 7 });
         rec.record(0, 200, &Msg::RetryTick { peer: 0 });
         rec.record(1, 150, &Msg::Release { pos: 3 });
@@ -199,9 +177,6 @@ mod tests {
     #[test]
     fn ring_keeps_only_last_slots() {
         let rec = FlightRecorder::new(1);
-        if !rec.enabled {
-            return;
-        }
         for i in 0..(FLIGHT_SLOTS as u32 + 10) {
             rec.record(0, i as u64, &Msg::Release { pos: i });
         }

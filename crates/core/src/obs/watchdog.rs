@@ -150,7 +150,7 @@ pub struct StallReport {
     /// Retained-state attribution from the memory registry: one line per
     /// `(machine, retention class)` still holding live bags at stall time
     /// (see [`crate::obs::mem::MemReport::retained_lines`]). Empty when
-    /// nothing is resident or `MITOS_MEM_OFF` is set.
+    /// nothing is resident.
     pub retained: Vec<String>,
 }
 

@@ -474,14 +474,12 @@ mod tests {
             .all(|(m, s)| *m == 0 && matches!(s, Msg::Ack { peer: 1, .. })));
         assert_eq!(relay.delivered_below[0], 3, "watermark compacts");
         assert!(relay.seen[0].is_empty());
-        if mreg.enabled() {
-            let table = mreg.snapshot().class_total(MemClass::DedupTable);
-            assert_eq!(
-                (table.live, table.bytes),
-                (0, 0),
-                "compacted table holds no residency"
-            );
-        }
+        let table = mreg.snapshot().class_total(MemClass::DedupTable);
+        assert_eq!(
+            (table.live, table.bytes),
+            (0, 0),
+            "compacted table holds no residency"
+        );
     }
 
     #[test]
@@ -514,9 +512,6 @@ mod tests {
         let mut net = CaptureNet::default();
         let reg = flow();
         let mreg = mem();
-        if !reg.enabled() {
-            return; // MITOS_FLOW_OFF set in the environment
-        }
         let data = Msg::Data {
             edge: 2,
             dst_inst: 0,
@@ -524,11 +519,9 @@ mod tests {
             batch: mitos_lang::Batch::new(),
         };
         relay.send_via(&mut net, 1, data, 40, &reg, &mreg);
-        if mreg.enabled() {
-            let buf = mreg.snapshot().class_total(MemClass::RelayBuf);
-            assert_eq!(buf.live, 1, "one unacked envelope resident");
-            assert_eq!(buf.bytes, 40 + ENVELOPE_BYTES);
-        }
+        let buf = mreg.snapshot().class_total(MemClass::RelayBuf);
+        assert_eq!(buf.live, 1, "one unacked envelope resident");
+        assert_eq!(buf.bytes, 40 + ENVELOPE_BYTES);
         relay.on_tick(&mut net, 1, "drop 1.00", &reg).unwrap();
         relay.on_ack(1, 0, &reg, &mreg);
         let report = reg.snapshot();
@@ -542,15 +535,13 @@ mod tests {
             64,
             "ack retired the window without disturbing retransmit totals"
         );
-        if mreg.enabled() {
-            let buf = mreg.snapshot().class_total(MemClass::RelayBuf);
-            assert_eq!((buf.live, buf.bytes), (0, 0), "ack drained the buffer");
-            assert_eq!(
-                mreg.snapshot().class_total(MemClass::RelayBuf).bytes_hwm,
-                40 + ENVELOPE_BYTES,
-                "peak survives the drain"
-            );
-        }
+        let buf = mreg.snapshot().class_total(MemClass::RelayBuf);
+        assert_eq!((buf.live, buf.bytes), (0, 0), "ack drained the buffer");
+        assert_eq!(
+            mreg.snapshot().class_total(MemClass::RelayBuf).bytes_hwm,
+            40 + ENVELOPE_BYTES,
+            "peak survives the drain"
+        );
     }
 
     #[test]
@@ -622,13 +613,11 @@ mod tests {
             assert_eq!(relay.delivered_below[0], base + 16);
         }
         assert!(max_table > 1, "shuffle produced no reordering to test");
-        if mreg.enabled() {
-            let table = mreg.snapshot().class_total(MemClass::DedupTable);
-            assert_eq!((table.live, table.bytes), (0, 0), "drained to watermark");
-            assert!(
-                table.bytes_hwm >= DEDUP_ENTRY_BYTES,
-                "peak recorded while the gap was open"
-            );
-        }
+        let table = mreg.snapshot().class_total(MemClass::DedupTable);
+        assert_eq!((table.live, table.bytes), (0, 0), "drained to watermark");
+        assert!(
+            table.bytes_hwm >= DEDUP_ENTRY_BYTES,
+            "peak recorded while the gap was open"
+        );
     }
 }

@@ -8,7 +8,7 @@ use crate::obs::ObsLevel;
 use crate::path::PathRules;
 use mitos_fs::InMemoryFs;
 use mitos_ir::BlockId;
-use mitos_lang::{Batch, Value};
+use mitos_lang::Batch;
 use std::fmt;
 use std::sync::Arc;
 
@@ -177,16 +177,6 @@ impl EngineConfig {
     /// Sets the fault-injection plan.
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
-        self
-    }
-
-    /// Sets the decision-withholding fault injection (tests only).
-    #[deprecated(
-        since = "0.5.0",
-        note = "folded into FaultPlan; use with_faults(FaultPlan::new().with_withhold_decisions(..))"
-    )]
-    pub fn with_fault_withhold_decisions(mut self, on: bool) -> Self {
-        self.faults.withhold_decisions = on;
         self
     }
 
@@ -394,26 +384,6 @@ impl fmt::Display for RuntimeError {
 }
 
 impl std::error::Error for RuntimeError {}
-
-/// Legacy estimated wire size of a batch of values: a fixed 16-byte header
-/// plus per-element [`Value::estimated_bytes`]. Retained as the byte
-/// accounting used when the columnar encoding is disabled via the
-/// `MITOS_BATCH_OFF` kill switch (see [`mitos_lang::batch::batch_off`]);
-/// normal runs charge [`Batch::encoded_len`] instead.
-pub fn batch_bytes(elems: &[Value]) -> u64 {
-    16 + elems.iter().map(Value::estimated_bytes).sum::<u64>()
-}
-
-/// Wire size charged for a data batch: the actual length-delimited encoded
-/// size, or the legacy [`batch_bytes`] estimate when `MITOS_BATCH_OFF` is
-/// set (so A/B runs can isolate the encoding's effect).
-pub fn batch_wire_bytes(batch: &Batch) -> u64 {
-    if mitos_lang::batch::batch_off() {
-        16 + batch.estimated_bytes()
-    } else {
-        batch.encoded_len() as u64
-    }
-}
 
 /// The file-name prefix under which `output(value, tag)` sinks collect
 /// results in the shared file system.

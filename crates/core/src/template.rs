@@ -71,7 +71,7 @@
 //! [`decide_send`]: crate::path::PathRules::decide_send
 
 use mitos_ir::BlockId;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Suffix-window size: decisions are replayed from a template only when
 /// they resolved within the last `WINDOW` path blocks (or when the key is
@@ -83,14 +83,6 @@ pub const WINDOW: usize = 16;
 /// hot suffixes (one per way control flow can arrive at its block), so a
 /// small move-to-front list beats a map.
 const CAPACITY: usize = 8;
-
-/// `MITOS_TEMPLATES_OFF` kill switch (read once per process), mirroring
-/// `MITOS_BATCH_OFF`: disables template record/replay without rebuilding,
-/// for A/B overhead and equivalence gates.
-pub fn templates_off() -> bool {
-    static OFF: OnceLock<bool> = OnceLock::new();
-    *OFF.get_or_init(|| std::env::var_os("MITOS_TEMPLATES_OFF").is_some())
-}
 
 /// One recorded non-Φ input selection: how to reconstruct the selected
 /// path-prefix length at replay time.

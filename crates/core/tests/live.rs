@@ -224,23 +224,6 @@ fn withheld_decision_broadcast_trips_watchdog() {
     assert!(text.contains("awaiting input"), "{text}");
 }
 
-/// The pre-`FaultPlan` setter still works: it now writes through to
-/// `EngineConfig::faults.withhold_decisions`.
-#[test]
-#[allow(deprecated)]
-fn deprecated_withhold_setter_folds_into_fault_plan() {
-    let cfg = EngineConfig::new().with_fault_withhold_decisions(true);
-    assert!(cfg.faults.withhold_decisions);
-    assert!(cfg.faults.is_active(), "withholding is an active fault");
-    assert!(
-        !cfg.faults.net_faults_active(),
-        "withholding alone must not arm the delivery protocol"
-    );
-    let off = EngineConfig::new().with_fault_withhold_decisions(false);
-    assert!(!off.faults.withhold_decisions);
-    assert_eq!(off.faults, FaultPlan::default());
-}
-
 /// The migrated path on the simulator: a withheld decision broadcast is
 /// diagnosed as quiescence-without-exit, and the stall report names the
 /// injected fault.

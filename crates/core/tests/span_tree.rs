@@ -129,18 +129,16 @@ fn stall_report_carries_flight_recorder_dump() {
     let cfg = EngineConfig::new().with_faults(FaultPlan::new().with_withhold_decisions(true));
     let err = run_sim(&func, &fs, cfg, SimConfig::with_machines(3)).unwrap_err();
     let report = err.stall.expect("withheld decisions must stall");
-    if std::env::var_os("MITOS_FLIGHT_OFF").is_none() {
-        assert!(
-            !report.flight.is_empty(),
-            "stall report must carry the flight dump"
-        );
-        assert!(
-            report.flight.iter().any(|l| l.contains("start")),
-            "machine lanes should at least show the Start message: {:?}",
-            report.flight
-        );
-        assert!(report.render().contains("flight recorder"));
-    }
+    assert!(
+        !report.flight.is_empty(),
+        "stall report must carry the flight dump"
+    );
+    assert!(
+        report.flight.iter().any(|l| l.contains("start")),
+        "machine lanes should at least show the Start message: {:?}",
+        report.flight
+    );
+    assert!(report.render().contains("flight recorder"));
 }
 
 #[test]

@@ -15,27 +15,12 @@
 //! network bytes, replacing the old per-element in-memory estimate. The
 //! encoding round-trips bit-exactly (float columns are stored as raw bit
 //! patterns, so NaN payloads and signed zeros survive).
-//!
-//! Setting the `MITOS_BATCH_OFF` environment variable (read once per
-//! process) disables the columnar builder — every batch then uses the row
-//! fallback, and the runtime falls back to the legacy estimated byte
-//! accounting — which gives an A/B kill switch for the whole encoding
-//! path. Outputs are identical either way; only byte accounting (and thus
-//! simulated network timing) differs.
 
 mod vectorized;
 
 use crate::value::Value;
 use std::fmt;
 use std::sync::Arc;
-use std::sync::OnceLock;
-
-/// Returns true when `MITOS_BATCH_OFF` is set: the columnar builder and
-/// the real wire-byte accounting are disabled for A/B comparison runs.
-pub fn batch_off() -> bool {
-    static OFF: OnceLock<bool> = OnceLock::new();
-    *OFF.get_or_init(|| std::env::var_os("MITOS_BATCH_OFF").is_some())
-}
 
 /// A typed scalar column (one tuple field, or a top-level scalar run).
 #[derive(Clone, Debug)]
@@ -355,30 +340,13 @@ impl Batch {
     }
 
     /// Builds a batch from a value sequence, columnarizing runs of
-    /// same-typed values (unless `MITOS_BATCH_OFF` forces the row
-    /// fallback).
+    /// same-typed values.
     pub fn from_values(values: Vec<Value>) -> Batch {
-        if batch_off() {
-            let len = values.len();
-            let runs = if len == 0 {
-                Vec::new()
-            } else {
-                vec![Run::Rows(values)]
-            };
-            return Batch { runs, len };
-        }
-        let mut b = Batch::new();
-        for v in &values {
-            b.push_ref(v);
-        }
-        b
+        Batch::from_slice(&values)
     }
 
     /// Builds a batch from a slice of values (cloning each).
     pub fn from_slice(values: &[Value]) -> Batch {
-        if batch_off() {
-            return Batch::from_values(values.to_vec());
-        }
         let mut b = Batch::new();
         for v in values {
             b.push_ref(v);
@@ -403,13 +371,6 @@ impl Batch {
 
     fn push_ref(&mut self, v: &Value) {
         self.len += 1;
-        if batch_off() {
-            match self.runs.last_mut() {
-                Some(Run::Rows(rows)) => rows.push(v.clone()),
-                _ => self.runs.push(Run::Rows(vec![v.clone()])),
-            }
-            return;
-        }
         match v {
             Value::I64(_) | Value::F64(_) | Value::Bool(_) | Value::Str(_) => {
                 if let Some(Run::Scalar(col)) = self.runs.last_mut() {
@@ -837,9 +798,7 @@ mod tests {
             .map(|i| Value::tuple([Value::I64(i), Value::str(format!("v{i}"))]))
             .collect();
         let b = Batch::from_values(values.clone());
-        if !batch_off() {
-            assert_eq!(b.runs.len(), 1, "one tuple run");
-        }
+        assert_eq!(b.runs.len(), 1, "one tuple run");
         roundtrip(values);
     }
 
@@ -895,9 +854,6 @@ mod tests {
             .map(|i| Value::tuple([Value::I64(i), Value::I64(i * 2)]))
             .collect();
         let b = Batch::from_values(values.clone());
-        if batch_off() {
-            return; // row fallback forced by the environment
-        }
         let mut rows = Batch::new();
         rows.runs = vec![Run::Rows(values)];
         rows.len = 1000;

@@ -21,7 +21,7 @@
 //! built, so the wire encoding of a result does not depend on which path
 //! computed it.
 
-use super::{batch_off, Batch, Col, Run, MAX_ARITY};
+use super::{Batch, Col, Run, MAX_ARITY};
 use crate::expr::{
     abs_i64, arith_f64, arith_i64, cmp_holds, eval, eval_binary, eval_call, eval_unary, f64_to_i64,
     min_max_f64, min_max_i64, neg_i64, round_i64, str_len, BinOp, EvalError, Expr, Func, UnOp,
@@ -540,9 +540,8 @@ impl Batch {
     ) -> Result<Batch, EvalError> {
         let mut out = Batch::new();
         let mut params: Vec<Value> = Vec::new();
-        let columnar = !batch_off();
         for run in &self.runs {
-            if run.len() == 0 || (columnar && per_run(run, &mut out).is_ok()) {
+            if run.len() == 0 || per_run(run, &mut out).is_ok() {
                 continue;
             }
             if params.is_empty() {

@@ -17,6 +17,3 @@ for f in fig1_imperative_vs_functional fig5_strong_scaling fig6_input_size \
          fig7_step_overhead fig8_loop_invariant fig9_loop_pipelining ablations; do
     cargo bench -p mitos-bench --bench "$f"
 done
-
-echo "==> Criterion microbenchmarks"
-cargo bench -p mitos-bench --bench micro

@@ -347,7 +347,6 @@ fn flow_reports_per_edge_traffic() {
                 "--engine",
                 engine,
             ])
-            .env_remove("MITOS_FLOW_OFF")
             .output()
             .unwrap();
         assert!(output.status.success(), "{engine}: {output:?}");
@@ -357,28 +356,6 @@ fn flow_reports_per_edge_traffic() {
         assert!(text.contains("per-machine"), "{engine}: {text}");
         assert!(text.contains("data messages"), "{engine}: {text}");
     }
-}
-
-#[test]
-fn flow_kill_switch_disables_accounting() {
-    let program = write_temp("prog14.mt", PROGRAM);
-    let data = write_temp(
-        "visits14.txt",
-        &(0..10).map(|i| format!("{i}\n")).collect::<String>(),
-    );
-    let output = mitos()
-        .args([
-            "flow",
-            program.to_str().unwrap(),
-            "--input",
-            &format!("visits={}", data.display()),
-        ])
-        .env("MITOS_FLOW_OFF", "1")
-        .output()
-        .unwrap();
-    assert!(output.status.success(), "{output:?}");
-    let text = String::from_utf8_lossy(&output.stdout);
-    assert!(text.contains("flow accounting disabled"), "{text}");
 }
 
 #[test]
@@ -398,7 +375,6 @@ fn flow_writes_heat_overlay_dot() {
             "--dot",
             dot_path.to_str().unwrap(),
         ])
-        .env_remove("MITOS_FLOW_OFF")
         .output()
         .unwrap();
     assert!(output.status.success(), "{output:?}");
@@ -422,7 +398,6 @@ fn explain_json_is_machine_readable() {
             &format!("visits={}", data.display()),
             "--json",
         ])
-        .env_remove("MITOS_FLOW_OFF")
         .output()
         .unwrap();
     assert!(output.status.success(), "{output:?}");
@@ -452,7 +427,6 @@ fn flow_json_reconciles_with_data_messages() {
             &format!("visits={}", data.display()),
             "--json",
         ])
-        .env_remove("MITOS_FLOW_OFF")
         .output()
         .unwrap();
     assert!(output.status.success(), "{output:?}");
@@ -509,7 +483,6 @@ fn mem_reports_residency_and_leak_freedom() {
                 "--engine",
                 engine,
             ])
-            .env_remove("MITOS_MEM_OFF")
             .output()
             .unwrap();
         assert!(output.status.success(), "{engine}: {output:?}");
@@ -541,13 +514,11 @@ fn mem_json_is_machine_readable_and_leak_free() {
             &format!("visits={}", data.display()),
             "--json",
         ])
-        .env_remove("MITOS_MEM_OFF")
         .output()
         .unwrap();
     assert!(output.status.success(), "{output:?}");
     let text = String::from_utf8_lossy(&output.stdout);
     mitos::core::obs::validate_json(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
-    assert!(text.contains("\"enabled\":true"), "{text}");
     assert!(text.contains("\"leak_free\":true"), "{text}");
     assert!(text.contains("\"classes\":["), "{text}");
     assert!(text.contains("\"awaiting-inputs\""), "{text}");
@@ -571,79 +542,12 @@ fn mem_writes_residency_heat_dot() {
             "--dot",
             dot_path.to_str().unwrap(),
         ])
-        .env_remove("MITOS_MEM_OFF")
         .output()
         .unwrap();
     assert!(output.status.success(), "{output:?}");
     let dot = std::fs::read_to_string(&dot_path).unwrap();
     assert!(dot.starts_with("digraph mitos {"), "{dot}");
     assert!(dot.contains("peak="), "residency labels present: {dot}");
-}
-
-#[test]
-fn mem_kill_switch_disables_accounting() {
-    let program = write_temp("prog22.mt", PROGRAM);
-    let data = write_temp(
-        "visits22.txt",
-        &(0..10).map(|i| format!("{i}\n")).collect::<String>(),
-    );
-    let output = mitos()
-        .args([
-            "mem",
-            program.to_str().unwrap(),
-            "--input",
-            &format!("visits={}", data.display()),
-        ])
-        .env("MITOS_MEM_OFF", "1")
-        .output()
-        .unwrap();
-    assert!(output.status.success(), "{output:?}");
-    let text = String::from_utf8_lossy(&output.stdout);
-    assert!(text.contains("memory accounting disabled"), "{text}");
-}
-
-#[test]
-fn both_kill_switches_compose_cleanly() {
-    // MITOS_FLOW_OFF and MITOS_MEM_OFF together must leave `explain`
-    // well-formed and the machine-readable report valid, with both
-    // accounting blocks present but marked disabled.
-    let program = write_temp("prog23.mt", PROGRAM);
-    let data = write_temp(
-        "visits23.txt",
-        &(0..20).map(|i| format!("{i}\n")).collect::<String>(),
-    );
-    let input = format!("visits={}", data.display());
-    let text_report = mitos()
-        .args(["explain", program.to_str().unwrap(), "--input", &input])
-        .env("MITOS_FLOW_OFF", "1")
-        .env("MITOS_MEM_OFF", "1")
-        .output()
-        .unwrap();
-    assert!(text_report.status.success(), "{text_report:?}");
-    let text = String::from_utf8_lossy(&text_report.stdout);
-    assert!(text.contains("operator"), "{text}");
-    // Disabled registries keep the explain output byte-stable: no
-    // accounting rows, no disabled banners, just the operator table.
-    assert!(!text.contains("edges (data plane)"), "{text}");
-    assert!(!text.contains("state residency"), "{text}");
-
-    let json_report = mitos()
-        .args([
-            "explain",
-            program.to_str().unwrap(),
-            "--input",
-            &input,
-            "--json",
-        ])
-        .env("MITOS_FLOW_OFF", "1")
-        .env("MITOS_MEM_OFF", "1")
-        .output()
-        .unwrap();
-    assert!(json_report.status.success(), "{json_report:?}");
-    let json = String::from_utf8_lossy(&json_report.stdout);
-    mitos::core::obs::validate_json(&json).unwrap_or_else(|e| panic!("{e}\n{json}"));
-    assert!(json.contains("\"flow\":{\"enabled\":false"), "{json}");
-    assert!(json.contains("\"mem\":{\"enabled\":false"), "{json}");
 }
 
 #[test]
@@ -682,15 +586,14 @@ fn trace_tree_json_is_valid_and_deterministic() {
 fn no_templates_run_is_bit_identical() {
     // The template cache is a pure control-plane memoization: `mitos run`
     // output — results and the virtual-time summary — must be bit-identical
-    // with the cache on (default), off via --no-templates, and off via the
-    // MITOS_TEMPLATES_OFF kill switch.
+    // with the cache on (default) and off via --no-templates.
     let program = write_temp("prog26.mt", PROGRAM);
     let data = write_temp(
         "visits26.txt",
         &(0..30).map(|i| format!("{i}\n")).collect::<String>(),
     );
     let input = format!("visits={}", data.display());
-    let run = |extra: &[&str], kill: bool| -> String {
+    let run = |extra: &[&str]| -> String {
         let mut args = vec![
             "run",
             program.to_str().unwrap(),
@@ -700,22 +603,14 @@ fn no_templates_run_is_bit_identical() {
         ];
         args.push(&input);
         args.extend_from_slice(extra);
-        let mut cmd = mitos();
-        cmd.env_remove("MITOS_TEMPLATES_OFF");
-        if kill {
-            cmd.env("MITOS_TEMPLATES_OFF", "1");
-        }
-        let output = cmd.args(&args).output().unwrap();
-        assert!(output.status.success(), "{extra:?} kill={kill}: {output:?}");
+        let output = mitos().args(&args).output().unwrap();
+        assert!(output.status.success(), "{extra:?}: {output:?}");
         String::from_utf8_lossy(&output.stdout).to_string()
     };
-    let on = run(&[], false);
-    let flag_off = run(&["--no-templates"], false);
-    let env_off = run(&[], true);
-    assert_eq!(on, flag_off, "--no-templates must not change run output");
     assert_eq!(
-        on, env_off,
-        "MITOS_TEMPLATES_OFF must not change run output"
+        run(&[]),
+        run(&["--no-templates"]),
+        "--no-templates must not change run output"
     );
 }
 
@@ -776,11 +671,7 @@ fn explain_reports_template_counters() {
         args.push(&input);
         args.push("--json");
         args.extend_from_slice(extra);
-        let output = mitos()
-            .env_remove("MITOS_TEMPLATES_OFF")
-            .args(&args)
-            .output()
-            .unwrap();
+        let output = mitos().args(&args).output().unwrap();
         assert!(output.status.success(), "{extra:?}: {output:?}");
         String::from_utf8_lossy(&output.stdout).to_string()
     };
@@ -816,7 +707,6 @@ fn explain_reports_template_counters() {
     // The human-readable report prints the counter line only when the
     // cache was active, keeping templates-off output byte-stable.
     let text_on = mitos()
-        .env_remove("MITOS_TEMPLATES_OFF")
         .args(["explain", program.to_str().unwrap(), "--input", &input])
         .output()
         .unwrap();
@@ -828,7 +718,6 @@ fn explain_reports_template_counters() {
         "explain must surface template counters: {err}\n{out}"
     );
     let text_off = mitos()
-        .env_remove("MITOS_TEMPLATES_OFF")
         .args([
             "explain",
             program.to_str().unwrap(),
@@ -857,7 +746,6 @@ fn metrics_out_exports_template_series() {
     let prom_path = std::env::temp_dir().join("mitos-cli-tests/templates29.prom");
     let _ = std::fs::remove_file(&prom_path);
     let output = mitos()
-        .env_remove("MITOS_TEMPLATES_OFF")
         .args([
             "run",
             program.to_str().unwrap(),

@@ -175,6 +175,36 @@ fn distinct_union_flatmap_cross() {
     );
 }
 
+/// A bag of ints, strings, tuples of differing arity and a list is mostly
+/// `Run::Rows`: the lambdas take the per-element fallback on both drivers.
+#[test]
+fn heterogeneous_bag_takes_the_row_fallback_through_the_engine() {
+    let src = r#"xs = readFile("mixed"); output(xs.map(x => (x, 1)), "pairs");
+        output(xs.filter(x => x != 2).distinct(), "kept");"#;
+    let func = compile(src).unwrap();
+    let mixed = (0..40i64).map(|i| match i % 5 {
+        0 => Value::I64(i % 3),
+        1 => Value::str(format!("s{}", i % 4)),
+        2 => Value::tuple([Value::I64(i % 2), Value::str("t")]),
+        3 => Value::tuple([Value::I64(i), Value::F64(0.5), Value::Bool(true)]),
+        _ => Value::list([Value::I64(i % 2), Value::Unit]),
+    });
+    let run = |engine: Engine| {
+        let fs = InMemoryFs::new();
+        fs.put("mixed", mixed.clone().collect());
+        let job = Run::new(&func).engine(engine).machines(3);
+        job.execute(&fs).unwrap_or_else(|e| panic!("{engine}: {e}"))
+    };
+    // `Engine::Reference` is `mitos_ir::interpret` with sorted outputs.
+    let reference = run(Engine::Reference);
+    assert_eq!(reference.outputs["kept"].len(), 18);
+    for engine in [Engine::Mitos, Engine::MitosThreads] {
+        let outcome = run(engine);
+        assert_eq!(outcome.outputs, reference.outputs, "outputs of {engine}");
+        assert_eq!(outcome.path, reference.path, "path of {engine}");
+    }
+}
+
 #[test]
 fn deeply_nested_control_flow() {
     check_all(

@@ -668,39 +668,37 @@ proptest! {
             // differ.
             let clean_flow = clean.flow().expect("Mitos engines account flow");
             let faulted_flow = faulted.flow().expect("Mitos engines account flow");
-            if clean_flow.enabled && faulted_flow.enabled {
-                for (run, outcome, flow) in [
-                    ("fault-free", &clean, clean_flow),
-                    ("faulted", &faulted, faulted_flow),
-                ] {
+            for (run, outcome, flow) in [
+                ("fault-free", &clean, clean_flow),
+                ("faulted", &faulted, faulted_flow),
+            ] {
+                prop_assert_eq!(
+                    flow.messages_in_total(), outcome.data_messages,
+                    "{} {} run: flow messages != data_messages under {}:\n{}",
+                    engine, run, plan.summary(), src
+                );
+                for ef in &flow.edges {
                     prop_assert_eq!(
-                        flow.messages_in_total(), outcome.data_messages,
-                        "{} {} run: flow messages != data_messages under {}:\n{}",
-                        engine, run, plan.summary(), src
+                        ef.elems_in(), ef.elems_out(),
+                        "{} {} run: edge {} delivered != sent elements under {}:\n{}",
+                        engine, run, ef.edge, plan.summary(), src
                     );
-                    for ef in &flow.edges {
-                        prop_assert_eq!(
-                            ef.elems_in(), ef.elems_out(),
-                            "{} {} run: edge {} delivered != sent elements under {}:\n{}",
-                            engine, run, ef.edge, plan.summary(), src
-                        );
-                        prop_assert_eq!(
-                            ef.msgs_in(), ef.msgs_out(),
-                            "{} {} run: edge {} delivered != sent messages under {}:\n{}",
-                            engine, run, ef.edge, plan.summary(), src
-                        );
-                    }
-                }
-                // Message and byte counts may chunk differently when fault
-                // delays shift flush boundaries; the element totals are the
-                // timing-independent invariant.
-                for (cf, ff) in clean_flow.edges.iter().zip(&faulted_flow.edges) {
                     prop_assert_eq!(
-                        cf.elems_in(), ff.elems_in(),
-                        "{} edge {} element tally diverged under faults {}:\n{}",
-                        engine, cf.edge, plan.summary(), src
+                        ef.msgs_in(), ef.msgs_out(),
+                        "{} {} run: edge {} delivered != sent messages under {}:\n{}",
+                        engine, run, ef.edge, plan.summary(), src
                     );
                 }
+            }
+            // Message and byte counts may chunk differently when fault
+            // delays shift flush boundaries; the element totals are the
+            // timing-independent invariant.
+            for (cf, ff) in clean_flow.edges.iter().zip(&faulted_flow.edges) {
+                prop_assert_eq!(
+                    cf.elems_in(), ff.elems_in(),
+                    "{} edge {} element tally diverged under faults {}:\n{}",
+                    engine, cf.edge, plan.summary(), src
+                );
             }
 
             // The leak detector under chaos: at quiescence the relay's
@@ -711,9 +709,6 @@ proptest! {
             // leak-free outright.
             for (run, outcome) in [("fault-free", &clean), ("faulted", &faulted)] {
                 let mem = outcome.mem().expect("Mitos engines account residency");
-                if !mem.enabled {
-                    continue; // MITOS_MEM_OFF in the environment
-                }
                 for class in [
                     mitos::core::MemClass::RelayBuf,
                     mitos::core::MemClass::DedupTable,
