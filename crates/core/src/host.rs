@@ -16,14 +16,14 @@ use crate::rt::{EngineShared, Msg, Net, RuntimeError, OUTPUT_PREFIX};
 use crate::template::{
     self, HintStep, SelSlot, SelectionRecord, SendHint, SendStatus, TemplateCache,
 };
-use mitos_ir::kernel::{self, join_row};
+use mitos_ir::kernel;
 use mitos_ir::BlockId;
 use mitos_lang::expr::eval;
 use mitos_lang::{Batch, Value};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-/// Sink for everything a host emits during one poke.
+/// Sink for everything a host emits while handling one event.
 pub struct HostOut<'a> {
     /// Message transport (also the CPU-charge sink).
     pub net: &'a mut dyn Net,
@@ -59,26 +59,33 @@ struct InputState {
     expected_senders: u16,
 }
 
-/// Operator-specific state for the active output bag.
+/// Operator-specific state for the active output bag: the incremental
+/// states of [`kernel`], which own every per-element loop of the keyed
+/// operators. `Build` and `CrossRight` are also what the hoist cache keeps
+/// across output bags (Sec. 5.3).
 enum OpState {
     Simple,
-    Build(HashMap<Value, Vec<Value>>),
-    CrossRight(Vec<Value>),
-    Agg(HashMap<Value, Value>),
-    Fold(Option<Value>),
-    Distinct(HashSet<Value>),
+    Build(kernel::JoinTable),
+    /// The collected side of a cross; `bytes` is its [`elems_bytes`].
+    CrossRight {
+        right: Vec<Value>,
+        bytes: u64,
+    },
+    Agg(kernel::KeyedFold),
+    Fold(kernel::Fold),
+    Distinct(kernel::DedupSet),
 }
 
-/// State kept across output bags for loop-invariant hoisting (Sec. 5.3).
-enum Kept {
-    Join {
-        bag_len: u32,
-        table: HashMap<Value, Vec<Value>>,
-    },
-    Cross {
-        bag_len: u32,
-        right: Vec<Value>,
-    },
+impl OpState {
+    /// `(elements, bytes)` of hoistable build state, as recorded when it
+    /// was built — charging and crediting the hoist cache walks nothing.
+    fn residency(&self) -> (u64, u64) {
+        match self {
+            OpState::Build(table) => table.residency(),
+            OpState::CrossRight { right, bytes } => (right.len() as u64, *bytes),
+            _ => (0, 0),
+        }
+    }
 }
 
 /// Send state of one produced bag on one outgoing logical edge.
@@ -179,7 +186,9 @@ pub struct Host {
     pending_outputs: VecDeque<u32>,
     current: Option<Active>,
     inputs: Vec<InputState>,
-    kept: Option<Kept>,
+    /// Hoist cache (Sec. 5.3): the hoisted input's selected bag length and
+    /// the build state made from it.
+    kept: Option<(u32, OpState)>,
     outbags: HashMap<u32, OutBag>,
     /// Barrier watermark: positions `<= frontier` may start (non-pipelined).
     released_frontier: u32,
@@ -190,8 +199,8 @@ pub struct Host {
     /// Statistics: hoisting reuse hits.
     pub hoist_hits: u64,
     /// Execution-template cache (see [`crate::template`]); `None` when
-    /// templates are disabled (config, kill switch, or decision
-    /// withholding, whose whole point is perturbing the control plane).
+    /// templates are disabled (by config, or by decision withholding,
+    /// whose whole point is perturbing the control plane).
     templates: Option<TemplateCache>,
     /// Bags whose conditional-send resolutions should be filled into a
     /// template: bag identifier length → template id. Entries are removed
@@ -338,7 +347,7 @@ impl Host {
         );
         let buf = self.inputs[input].bufs.entry(bag_len).or_default();
         buf.elems.extend(batch.into_values());
-        self.poke(path, out)
+        self.progress(path, out)
     }
 
     /// End-of-bag punctuation arrived on an input edge.
@@ -370,7 +379,7 @@ impl Host {
                 self.name
             )));
         }
-        self.poke(path, out)
+        self.progress(path, out)
     }
 
     /// The simulated disk finished a read for this host.
@@ -408,7 +417,7 @@ impl Host {
         } else {
             self.emit_all(elems, out)?;
         }
-        self.poke(path, out)
+        self.progress(path, out)
     }
 
     /// Whether this host has nothing scheduled and nothing in flight
@@ -483,10 +492,6 @@ impl Host {
         })
     }
 
-    fn poke(&mut self, path: &ExecutionPath, out: &mut HostOut) -> Result<(), RuntimeError> {
-        self.progress(path, out)
-    }
-
     // --- Memory accounting ------------------------------------------------
 
     /// Garbage-collects buffered input bags with identifier length below
@@ -516,35 +521,11 @@ impl Host {
         }
     }
 
-    /// Approximate residency of a hoist-cache entry: `(elements, bytes)`.
-    fn kept_cost(kept: &Kept) -> (u64, u64) {
-        match kept {
-            Kept::Join { table, .. } => {
-                let (mut elems, mut bytes) = (0u64, 0u64);
-                for (k, vs) in table {
-                    elems += vs.len() as u64;
-                    bytes += k.estimated_bytes() + elems_bytes(vs);
-                }
-                (elems, bytes)
-            }
-            Kept::Cross { right, .. } => (right.len() as u64, elems_bytes(right)),
-        }
-    }
-
-    /// Credits a hoist-cache entry leaving the cache (reused into an active
-    /// bag, or invalidated by a changed input selection).
-    fn credit_kept(&self, kept: &Kept) {
-        let (elems, bytes) = Self::kept_cost(kept);
-        self.shared
-            .mem
-            .credit(MemClass::HoistCache, self.machine, self.op, 1, elems, bytes);
-    }
-
     /// End-of-run input-buffer GC: once the path has exited and this host
     /// is fully idle, no future occurrence can select a buffered input bag
     /// (selection candidates only come from path appends), so everything
     /// still buffered — kept during the run for potential re-selection — is
-    /// released. Late in-flight arrivals re-enter via `poke`, which runs
+    /// released. Late in-flight arrivals re-enter via `progress`, which runs
     /// the sweep again.
     fn exit_gc(&mut self) {
         for state in &mut self.inputs {
@@ -617,7 +598,7 @@ impl Host {
                     }
                 }
             }
-            if !self.try_finalize(path, out)? {
+            if !self.try_finalize(out)? {
                 return Ok(());
             }
         }
@@ -780,55 +761,23 @@ impl Host {
 
         // Loop-invariant hoisting: reuse kept build state if the hoisted
         // input's selected bag is unchanged (Sec. 5.3).
+        let hoist_input = hoistable_input(&self.kind);
         let mut state = init_state(&self.kind);
         let mut reused = false;
-        if self.shared.config.hoisting {
-            match (&*self.kind, &self.kept) {
-                (NodeKind::Join, Some(Kept::Join { bag_len, .. })) if sel[0] == Some(*bag_len) => {
-                    if let Some(k) = self.kept.take() {
-                        // The cached table moves into the active bag's
-                        // operator state: cache residency becomes working
-                        // state (re-charged as cache at finalize).
-                        self.credit_kept(&k);
-                        if let Kept::Join { table, .. } = k {
-                            state = OpState::Build(table);
-                            reused = true;
-                        }
-                    }
-                }
-                (NodeKind::Cross, Some(Kept::Cross { bag_len, .. }))
-                    if sel[1] == Some(*bag_len) =>
-                {
-                    if let Some(k) = self.kept.take() {
-                        self.credit_kept(&k);
-                        if let Kept::Cross { right, .. } = k {
-                            state = OpState::CrossRight(right);
-                            reused = true;
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        if reused {
-            self.hoist_hits += 1;
-            if out.obs.enabled() {
-                let hoist_len = match *self.kind {
-                    NodeKind::Join => sel[0],
-                    _ => sel[1],
-                };
-                out.obs.record(
-                    out.net,
-                    self.op,
-                    EventKind::HoistHit {
-                        pos,
-                        bag_len: hoist_len.unwrap_or(0),
-                    },
-                );
-            }
-        } else if matches!(*self.kind, NodeKind::Join | NodeKind::Cross) {
-            if let Some(k) = self.kept.take() {
-                self.credit_kept(&k); // invalidated: the selection changed
+        if let Some((bag_len, kept)) = self.kept.take() {
+            // The entry leaves the cache either way: its residency becomes
+            // the active bag's working state (re-charged as cache at
+            // finalize), or the selection changed and it is dropped.
+            let (elems, bytes) = kept.residency();
+            self.shared
+                .mem
+                .credit(MemClass::HoistCache, self.machine, self.op, 1, elems, bytes);
+            if hoist_input.is_some_and(|i| sel[i] == Some(bag_len)) {
+                state = kept;
+                reused = true;
+                self.hoist_hits += 1;
+                out.obs
+                    .record(out.net, self.op, EventKind::HoistHit { pos, bag_len });
             }
         }
 
@@ -861,11 +810,6 @@ impl Host {
         }
 
         // Gating bookkeeping; a reused hoisted input's gate is pre-satisfied.
-        let hoist_input = match *self.kind {
-            NodeKind::Join => Some(0),
-            NodeKind::Cross => Some(1),
-            _ => None,
-        };
         let mut gates_left = 0;
         let mut gate_done = vec![false; n_inputs];
         for (i, &g) in self.gating.iter().enumerate() {
@@ -1101,26 +1045,21 @@ impl Host {
                 active.write_name = Some(name);
             }
             (NodeKind::Join, 0) => {
-                let elems = {
-                    let buf = self.inputs[input].bufs.get(&sel_len).expect("gate buffer");
-                    buf.elems.clone()
-                };
+                // The buffer stays selectable by later occurrences: the
+                // table is built from a copy.
+                let elems = self.inputs[input].bufs[&sel_len].elems.clone();
                 out.net.charge(cost.insert_cost(elems.len()));
-                let mut table: HashMap<Value, Vec<Value>> = HashMap::with_capacity(elems.len());
-                for v in elems {
-                    table.entry(v.key().clone()).or_default().push(v);
-                }
                 let active = self.current.as_mut().expect("active");
-                active.state = OpState::Build(table);
+                active.state = OpState::Build(kernel::JoinTable::build(elems));
             }
             (NodeKind::Cross, 1) => {
-                let elems = {
-                    let buf = self.inputs[input].bufs.get(&sel_len).expect("gate buffer");
-                    buf.elems.clone()
-                };
+                let elems = self.inputs[input].bufs[&sel_len].elems.clone();
                 out.net.charge(cost.elem_cost(elems.len()));
                 let active = self.current.as_mut().expect("active");
-                active.state = OpState::CrossRight(elems);
+                active.state = OpState::CrossRight {
+                    bytes: elems_bytes(&elems),
+                    right: elems,
+                };
             }
             (kind, input) => {
                 return Err(RuntimeError::new(format!(
@@ -1245,7 +1184,9 @@ impl Host {
         Ok(batch)
     }
 
-    /// Processes all unconsumed elements of a stream input.
+    /// Processes all unconsumed elements of a stream input. Out of line:
+    /// inlined into `progress_inner` it slows `step_control`'s steps by 6 %.
+    #[inline(never)]
     fn drain_stream(&mut self, input: usize, out: &mut HostOut) -> Result<(), RuntimeError> {
         let (sel_len, start) = {
             let active = self.current.as_ref().expect("active");
@@ -1267,6 +1208,8 @@ impl Host {
         self.process_stream(input, elems, out)
     }
 
+    /// Feeds newly arrived stream elements to the operator: charges their
+    /// cost, runs the kernel, and emits what it produces right away.
     fn process_stream(
         &mut self,
         input: usize,
@@ -1275,200 +1218,112 @@ impl Host {
     ) -> Result<(), RuntimeError> {
         let kind = Arc::clone(&self.kind);
         let cost = self.shared.config.cost;
-        let captured = self.current.as_ref().expect("active").captured.clone();
-        match &*kind {
+        let n = elems.len();
+        let active = self.current.as_mut().expect("active");
+        let captured = &active.captured;
+        let outv = match (&*kind, &mut active.state) {
             // The element-wise transforms run through the shared columnar
             // kernels: one layout dispatch per run instead of one enum
             // inspection per element.
-            NodeKind::Map { expr } => {
-                out.net
-                    .charge(cost.eval_cost(expr.node_count(), elems.len()));
-                let outv = kernel::map(expr, &captured, &Batch::from_values(elems))
-                    .map_err(|e| RuntimeError::new(e.message))?;
-                self.emit_all(outv.into_values(), out)?;
+            (NodeKind::Map { expr }, _) => {
+                out.net.charge(cost.eval_cost(expr.node_count(), n));
+                kernel::map(expr, captured, &Batch::from_values(elems))
+                    .map_err(|e| RuntimeError::new(e.message))?
+                    .into_values()
             }
-            NodeKind::FlatMap { expr } => {
-                out.net
-                    .charge(cost.eval_cost(expr.node_count(), elems.len()));
-                let outv = kernel::flat_map(expr, &captured, &Batch::from_values(elems))
-                    .map_err(|e| RuntimeError::new(e.message))?;
-                self.emit_all(outv.into_values(), out)?;
+            (NodeKind::FlatMap { expr }, _) => {
+                out.net.charge(cost.eval_cost(expr.node_count(), n));
+                kernel::flat_map(expr, captured, &Batch::from_values(elems))
+                    .map_err(|e| RuntimeError::new(e.message))?
+                    .into_values()
             }
-            NodeKind::Filter { expr } => {
-                out.net
-                    .charge(cost.eval_cost(expr.node_count(), elems.len()));
-                let outv = kernel::filter(expr, &captured, &Batch::from_values(elems))
-                    .map_err(|e| RuntimeError::new(e.message))?;
-                self.emit_all(outv.into_values(), out)?;
+            (NodeKind::Filter { expr }, _) => {
+                out.net.charge(cost.eval_cost(expr.node_count(), n));
+                kernel::filter(expr, captured, &Batch::from_values(elems))
+                    .map_err(|e| RuntimeError::new(e.message))?
+                    .into_values()
             }
-            NodeKind::Join => {
+            (NodeKind::Join, OpState::Build(table)) => {
                 debug_assert_eq!(input, 1, "probe side streams");
-                out.net.charge(cost.probe_cost(elems.len()));
-                let mut outv = Vec::new();
-                {
-                    let active = self.current.as_ref().expect("active");
-                    let OpState::Build(table) = &active.state else {
-                        return Err(RuntimeError::new("join probing before build".to_string()));
-                    };
-                    for r in &elems {
-                        if let Some(matches) = table.get(r.key()) {
-                            for l in matches {
-                                outv.push(join_row(r.key(), l, r));
-                            }
-                        }
-                    }
-                }
-                self.emit_all(outv, out)?;
+                out.net.charge(cost.probe_cost(n));
+                table.probe(&elems)
             }
-            NodeKind::Cross => {
+            (NodeKind::Cross, OpState::CrossRight { right, .. }) => {
                 debug_assert_eq!(input, 0, "left side streams");
-                let mut outv = Vec::new();
-                {
-                    let active = self.current.as_ref().expect("active");
-                    let OpState::CrossRight(right) = &active.state else {
-                        return Err(RuntimeError::new(
-                            "cross streaming before collect".to_string(),
-                        ));
-                    };
-                    out.net
-                        .charge(cost.elem_cost(elems.len() * right.len().max(1)));
-                    for l in &elems {
-                        for r in right {
-                            outv.push(Value::tuple([l.clone(), r.clone()]));
-                        }
-                    }
-                }
-                self.emit_all(outv, out)?;
+                out.net.charge(cost.elem_cost(n * right.len().max(1)));
+                kernel::cross(&elems, right)
             }
-            NodeKind::Union | NodeKind::Alias | NodeKind::Phi => {
-                out.net.charge(cost.elem_cost(elems.len()));
-                self.emit_all(elems, out)?;
+            (NodeKind::Union | NodeKind::Alias | NodeKind::Phi, _) => {
+                out.net.charge(cost.elem_cost(n));
+                elems
             }
             // A map-headed fused chain streams its data input through every
             // stage in one pass.
-            NodeKind::Fused { .. } => {
-                let outv = self.fused_transform(Batch::from_values(elems), out)?;
-                self.emit_all(outv.into_values(), out)?;
+            (NodeKind::Fused { .. }, _) => self
+                .fused_transform(Batch::from_values(elems), out)?
+                .into_values(),
+            // The blocking aggregations emit at finalize.
+            (
+                NodeKind::ReduceByKey { expr } | NodeKind::ReduceByKeyLocal { expr },
+                OpState::Agg(fold),
+            ) => {
+                out.net.charge(cost.eval_cost(expr.node_count(), n));
+                fold.push(expr, captured, &elems)
+                    .map_err(|e| RuntimeError::new(e.message))?;
+                Vec::new()
             }
-            NodeKind::ReduceByKey { expr } | NodeKind::ReduceByKeyLocal { expr } => {
-                out.net
-                    .charge(cost.eval_cost(expr.node_count(), elems.len()));
-                let active = self.current.as_mut().expect("active");
-                let OpState::Agg(map) = &mut active.state else {
-                    return Err(RuntimeError::new("reduceByKey state mismatch".to_string()));
-                };
-                let mut params = Vec::with_capacity(2 + captured.len());
-                params.push(Value::Unit);
-                params.push(Value::Unit);
-                params.extend(captured);
-                for v in elems {
-                    let fields = v.as_tuple().ok_or_else(|| {
-                        RuntimeError::new(format!("reduceByKey expects (k, v) tuples, got {v:?}"))
-                    })?;
-                    if fields.len() != 2 {
-                        return Err(RuntimeError::new(format!(
-                            "reduceByKey expects 2-field tuples, got {v:?}"
-                        )));
-                    }
-                    match map.entry(fields[0].clone()) {
-                        std::collections::hash_map::Entry::Vacant(e) => {
-                            e.insert(fields[1].clone());
-                        }
-                        std::collections::hash_map::Entry::Occupied(mut e) => {
-                            params[0] = e.get().clone();
-                            params[1] = fields[1].clone();
-                            *e.get_mut() =
-                                eval(expr, &params).map_err(|e| RuntimeError::new(e.message))?;
-                        }
-                    }
-                }
+            (NodeKind::Reduce { expr, .. }, OpState::Fold(fold)) => {
+                out.net.charge(cost.eval_cost(expr.node_count(), n));
+                fold.push(expr, captured, &elems)
+                    .map_err(|e| RuntimeError::new(e.message))?;
+                Vec::new()
             }
-            NodeKind::Reduce { expr, .. } => {
-                out.net
-                    .charge(cost.eval_cost(expr.node_count(), elems.len()));
-                let active = self.current.as_mut().expect("active");
-                let OpState::Fold(acc) = &mut active.state else {
-                    return Err(RuntimeError::new("reduce state mismatch".to_string()));
-                };
-                let mut params = Vec::with_capacity(2 + captured.len());
-                params.push(Value::Unit);
-                params.push(Value::Unit);
-                params.extend(captured);
-                for v in elems {
-                    match acc.take() {
-                        None => *acc = Some(v),
-                        Some(a) => {
-                            params[0] = a;
-                            params[1] = v;
-                            *acc = Some(
-                                eval(expr, &params).map_err(|e| RuntimeError::new(e.message))?,
-                            );
-                        }
-                    }
-                }
+            (NodeKind::Distinct, OpState::Distinct(seen)) => {
+                out.net.charge(cost.insert_cost(n));
+                seen.push(&elems)
             }
-            NodeKind::Distinct => {
-                out.net.charge(cost.insert_cost(elems.len()));
-                let mut outv = Vec::new();
-                {
-                    let active = self.current.as_mut().expect("active");
-                    let OpState::Distinct(seen) = &mut active.state else {
-                        return Err(RuntimeError::new("distinct state mismatch".to_string()));
-                    };
-                    for v in elems {
-                        if seen.insert(v.clone()) {
-                            outv.push(v);
-                        }
-                    }
-                }
-                self.emit_all(outv, out)?;
-            }
-            NodeKind::OutputSink { tag } => {
-                out.net.charge(cost.elem_cost(elems.len()));
+            (NodeKind::OutputSink { tag }, _) => {
+                out.net.charge(cost.elem_cost(n));
                 out.obs.record(
                     out.net,
                     self.op,
                     EventKind::SinkWrote {
-                        bag_len: self.current.as_ref().expect("active").len,
-                        count: elems.len() as u64,
+                        bag_len: active.len,
+                        count: n as u64,
                     },
                 );
                 self.shared
                     .fs
                     .append(&format!("{OUTPUT_PREFIX}{tag}"), &elems);
+                Vec::new()
             }
-            NodeKind::WriteFile => {
+            (NodeKind::WriteFile, _) => {
                 debug_assert_eq!(input, 0, "data side streams");
-                let name = self
-                    .current
-                    .as_ref()
-                    .expect("active")
+                let name = active
                     .write_name
-                    .clone()
+                    .as_ref()
                     .ok_or_else(|| RuntimeError::new("writeFile data before name".to_string()))?;
-                let bytes: u64 = elems.iter().map(Value::estimated_bytes).sum();
-                out.net.charge(cost.io_stream_cost(bytes));
-                self.shared.fs.append(&name, &elems);
+                out.net.charge(cost.io_stream_cost(elems_bytes(&elems)));
+                self.shared.fs.append(name, &elems);
+                Vec::new()
             }
-            NodeKind::ReadFile | NodeKind::Singleton { .. } | NodeKind::LiteralBag { .. } => {
+            // Sources have no stream input, and a keyed operator streams
+            // only once the state of its kind is in place.
+            (kind, _) => {
                 return Err(RuntimeError::new(format!(
-                    "source operator {} received stream data",
+                    "operator {} cannot take stream data",
                     kind.mnemonic()
                 )))
             }
-        }
-        Ok(())
+        };
+        self.emit_all(outv, out)
     }
 
     // --- Finalization -----------------------------------------------------
 
     /// Finalizes the active bag if every used input is complete and
     /// consumed. Returns whether finalization happened.
-    fn try_finalize(
-        &mut self,
-        path: &ExecutionPath,
-        out: &mut HostOut,
-    ) -> Result<bool, RuntimeError> {
+    fn try_finalize(&mut self, out: &mut HostOut) -> Result<bool, RuntimeError> {
         {
             let Some(active) = &self.current else {
                 return Ok(false);
@@ -1490,45 +1345,14 @@ impl Host {
             }
         }
         // Final emissions of blocking aggregations.
-        let final_emit: Option<Vec<Value>> = {
-            let active = self.current.as_mut().expect("active");
-            match &*self.kind {
-                NodeKind::ReduceByKey { .. } | NodeKind::ReduceByKeyLocal { .. } => {
-                    let OpState::Agg(map) = std::mem::replace(&mut active.state, OpState::Simple)
-                    else {
-                        return Err(RuntimeError::new("reduceByKey state mismatch".to_string()));
-                    };
-                    let mut pairs: Vec<(Value, Value)> = map.into_iter().collect();
-                    pairs.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-                    Some(
-                        pairs
-                            .into_iter()
-                            .map(|(k, v)| Value::tuple([k, v]))
-                            .collect(),
-                    )
-                }
-                NodeKind::Reduce { init, .. } => {
-                    let OpState::Fold(acc) = std::mem::replace(&mut active.state, OpState::Simple)
-                    else {
-                        return Err(RuntimeError::new("reduce state mismatch".to_string()));
-                    };
-                    match (acc, init) {
-                        (Some(a), _) => Some(vec![a]),
-                        (None, Some(i)) => Some(vec![i.clone()]),
-                        (None, None) => {
-                            return Err(RuntimeError::new(format!(
-                                "reduce `{}` on an empty bag with no initial value",
-                                self.name
-                            )))
-                        }
-                    }
-                }
-                _ => None,
-            }
+        let final_emit = match &mut self.current.as_mut().expect("active").state {
+            OpState::Agg(fold) => std::mem::take(fold).finish(),
+            OpState::Fold(fold) => vec![std::mem::take(fold)
+                .finish()
+                .map_err(|e| RuntimeError::new(e.message))?],
+            _ => Vec::new(),
         };
-        if let Some(vs) = final_emit {
-            self.emit_all(vs, out)?;
-        }
+        self.emit_all(final_emit, out)?;
         // Sinks create their target even for empty bags, matching the
         // sequential semantics (an empty written file still exists).
         match &*self.kind {
@@ -1545,32 +1369,15 @@ impl Host {
 
         let active = self.current.take().expect("active");
         // Keep hoistable build state for the next output bag (Sec. 5.3).
-        if self.shared.config.hoisting {
-            let new_kept = match (&*self.kind, active.state) {
-                (NodeKind::Join, OpState::Build(table)) => Some(Kept::Join {
-                    bag_len: active.sel[0].expect("join build selected"),
-                    table,
-                }),
-                (NodeKind::Cross, OpState::CrossRight(right)) => Some(Kept::Cross {
-                    bag_len: active.sel[1].expect("cross right selected"),
-                    right,
-                }),
-                _ => None,
-            };
-            if let Some(k) = new_kept {
-                // Deliberately retained across output bags: charged to the
-                // hoist-cache class (excluded from the leak verdict).
-                let (elems, bytes) = Self::kept_cost(&k);
-                self.shared.mem.charge(
-                    MemClass::HoistCache,
-                    self.machine,
-                    self.op,
-                    1,
-                    elems,
-                    bytes,
-                );
-                self.kept = Some(k);
-            }
+        let hoisted = hoistable_input(&self.kind).and_then(|i| active.sel[i]);
+        if let Some(bag_len) = hoisted.filter(|_| self.shared.config.hoisting) {
+            // Deliberately retained across output bags: charged to the
+            // hoist-cache class (excluded from the leak verdict).
+            let (elems, bytes) = active.state.residency();
+            self.shared
+                .mem
+                .charge(MemClass::HoistCache, self.machine, self.op, 1, elems, bytes);
+            self.kept = Some((bag_len, active.state));
         }
 
         // Mark the out-bag finalized and punctuate decided edges.
@@ -1592,7 +1399,6 @@ impl Host {
         if !self.shared.config.pipelined {
             out.computed.push(active.pos);
         }
-        let _ = path;
         Ok(true)
     }
 
@@ -2095,17 +1901,27 @@ fn gating_flags(kind: &NodeKind, n_inputs: usize) -> Vec<bool> {
     flags
 }
 
+/// The input whose collected bag is loop-invariant-hoistable build state
+/// (Sec. 5.3): a join's build side, a cross's collected side.
+fn hoistable_input(kind: &NodeKind) -> Option<usize> {
+    match kind {
+        NodeKind::Join => Some(0),
+        NodeKind::Cross => Some(1),
+        _ => None,
+    }
+}
+
+/// The state an output bag starts with. A join's or a cross's build state
+/// comes later, from its gate or from the hoist cache.
 fn init_state(kind: &NodeKind) -> OpState {
     match kind {
-        NodeKind::Join => OpState::Build(HashMap::new()),
-        NodeKind::Cross => OpState::CrossRight(Vec::new()),
         NodeKind::ReduceByKey { .. } | NodeKind::ReduceByKeyLocal { .. } => {
-            OpState::Agg(HashMap::new())
+            OpState::Agg(kernel::KeyedFold::default())
         }
         // The fold is seeded with the empty-bag value when one exists
         // (sum/count); `.reduce(..)` starts from the first element.
-        NodeKind::Reduce { init, .. } => OpState::Fold(init.clone()),
-        NodeKind::Distinct => OpState::Distinct(HashSet::new()),
+        NodeKind::Reduce { init, .. } => OpState::Fold(kernel::Fold::new(init.clone())),
+        NodeKind::Distinct => OpState::Distinct(kernel::DedupSet::default()),
         _ => OpState::Simple,
     }
 }

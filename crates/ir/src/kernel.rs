@@ -1,17 +1,26 @@
-//! Pure, batch implementations of the bag operations.
+//! The one implementation of every bag operation.
 //!
-//! These kernels define the *semantics* of each [`Op`](crate::nir::Op). The
-//! sequential interpreter uses them directly; the Spark-like baseline engine
-//! executes stage fragments with them; the Mitos runtime's incremental
-//! operators are property-tested against them.
+//! These kernels define the *semantics* of each [`Op`](crate::nir::Op), and
+//! they are what runs: the Mitos runtime's operator host, the sequential
+//! interpreter and the Spark-like baseline all call them, so a benchmark
+//! replay of a kernel times the code the engine executes. Independence
+//! lives in `tests/prop_kernels.rs`, which holds each kernel to a naive
+//! specification that shares no code with it.
 //!
 //! The element-wise transforms ([`map`], [`flat_map`], [`filter`]) are
 //! **batch-in/batch-out**: they take a typed columnar [`Batch`] and return
 //! one, evaluating the lambda a column at a time once per run
 //! ([`Batch::map_expr`] and friends; a run the column evaluator cannot
 //! express, or that fails in it, is evaluated element by element with
-//! [`eval`]). The keyed/aggregating kernels keep their slice signatures —
-//! their cost is dominated by hashing, not container shape.
+//! [`eval`]).
+//!
+//! The keyed and aggregating operators are **incremental states**, shaped
+//! for a host that receives its input in chunks: [`JoinTable`] (build once,
+//! [`probe`](JoinTable::probe) per chunk), [`KeyedFold`] and [`Fold`]
+//! (`push` per chunk, `finish` at end of bag), [`DedupSet`] (`push` returns
+//! the chunk's first occurrences) and the chunk-callable [`cross`]. The
+//! slice functions [`join`], [`reduce_by_key`], [`reduce`] and [`distinct`]
+//! drive one state over a whole bag.
 
 use mitos_lang::expr::{eval, Expr};
 use mitos_lang::{Batch, Value};
@@ -87,26 +96,65 @@ pub fn join_row(key: &Value, left: &Value, right: &Value) -> Value {
     Value::tuple(fields)
 }
 
-/// `join`: equi-join on element key (field 0). Output rows follow the
-/// right (probe) side's order; per key, build-side matches keep insertion
-/// order. This matches the incremental hash-join in the runtime.
-pub fn join(left: &[Value], right: &[Value]) -> Vec<Value> {
-    let mut table: HashMap<&Value, Vec<&Value>> = HashMap::with_capacity(left.len());
-    for l in left {
-        table.entry(l.key()).or_default().push(l);
+/// The build side of an equi-join on element key (field 0): rows grouped
+/// by key, each group in insertion order. Built once per build bag and
+/// probed chunk by chunk; the runtime's hoist cache keeps it across loop
+/// steps and reads its [`residency`](JoinTable::residency) instead of
+/// walking it.
+pub struct JoinTable {
+    rows: HashMap<Value, Vec<Value>>,
+    elems: u64,
+    bytes: u64,
+}
+
+impl JoinTable {
+    /// Builds the table from the whole build-side bag.
+    pub fn build(bag: Vec<Value>) -> JoinTable {
+        let mut table = JoinTable {
+            rows: HashMap::with_capacity(bag.len()),
+            elems: bag.len() as u64,
+            bytes: 0,
+        };
+        for v in bag {
+            table.bytes += v.estimated_bytes();
+            let group = table.rows.entry(v.key().clone()).or_insert_with_key(|k| {
+                table.bytes += k.estimated_bytes();
+                Vec::new()
+            });
+            group.push(v);
+        }
+        table
     }
-    let mut out = Vec::new();
-    for r in right {
-        if let Some(matches) = table.get(r.key()) {
-            for l in matches {
+
+    /// The joined rows of `chunk`: probe order, and per probe element its
+    /// key's build rows in insertion order.
+    pub fn probe(&self, chunk: &[Value]) -> Vec<Value> {
+        let mut out = Vec::new();
+        for r in chunk {
+            for l in self.rows.get(r.key()).into_iter().flatten() {
                 out.push(join_row(r.key(), l, r));
             }
         }
+        out
     }
-    out
+
+    /// `(elements, estimated bytes)` the table holds, recorded while it was
+    /// built: every row's and every distinct key's
+    /// [`Value::estimated_bytes`].
+    pub fn residency(&self) -> (u64, u64) {
+        (self.elems, self.bytes)
+    }
 }
 
-/// `cross`: Cartesian product as `(left, right)` pairs.
+/// `join`: equi-join on element key (field 0). Output rows follow the
+/// right (probe) side's order; per key, build-side matches keep insertion
+/// order.
+pub fn join(left: &[Value], right: &[Value]) -> Vec<Value> {
+    JoinTable::build(left.to_vec()).probe(right)
+}
+
+/// `cross`: Cartesian product as `(left, right)` pairs, left-major. The
+/// runtime calls it once per chunk of the streamed left side.
 pub fn cross(left: &[Value], right: &[Value]) -> Vec<Value> {
     let mut out = Vec::with_capacity(left.len() * right.len());
     for l in left {
@@ -117,6 +165,57 @@ pub fn cross(left: &[Value], right: &[Value]) -> Vec<Value> {
     out
 }
 
+/// The combiner's parameter vector `[acc, element, captured..]` with the
+/// first two slots still to fill.
+fn fold_params(captured: &[Value]) -> Vec<Value> {
+    [&[Value::Unit, Value::Unit], captured].concat()
+}
+
+/// The running per-key folds of a `reduceByKey`.
+#[derive(Default)]
+pub struct KeyedFold {
+    acc: HashMap<Value, Value>,
+}
+
+impl KeyedFold {
+    /// Folds a chunk of `(k, v)` pairs in: a key's first value seeds its
+    /// accumulator, later ones go through
+    /// `expr($0 = acc, $1 = v, $2.. = captured)`.
+    pub fn push(
+        &mut self,
+        expr: &Expr,
+        captured: &[Value],
+        chunk: &[Value],
+    ) -> Result<(), KernelError> {
+        let mut params = fold_params(captured);
+        for v in chunk {
+            let Some([key, value]) = v.as_tuple() else {
+                return Err(KernelError::new(format!(
+                    "reduceByKey expects (key, value) tuples, got {v:?}"
+                )));
+            };
+            match self.acc.entry(key.clone()) {
+                Entry::Vacant(e) => {
+                    e.insert(value.clone());
+                }
+                Entry::Occupied(mut e) => {
+                    params[0] = e.get().clone();
+                    params[1] = value.clone();
+                    *e.get_mut() = eval(expr, &params)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The `(k, folded)` rows, sorted by key for determinism.
+    pub fn finish(self) -> Vec<Value> {
+        let mut out: Vec<(Value, Value)> = self.acc.into_iter().collect();
+        out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        out.into_iter().map(|(k, v)| Value::tuple([k, v])).collect()
+    }
+}
+
 /// `reduceByKey`: folds the value field of `(k, v)` pairs per key with
 /// `expr($0 = acc, $1 = v, $2.. = captured)`. Output is sorted by key for
 /// determinism.
@@ -125,36 +224,52 @@ pub fn reduce_by_key(
     captured: &[Value],
     input: &[Value],
 ) -> Result<Vec<Value>, KernelError> {
-    let mut acc: HashMap<Value, Value> = HashMap::new();
-    let mut params = Vec::with_capacity(2 + captured.len());
-    params.push(Value::Unit);
-    params.push(Value::Unit);
-    params.extend_from_slice(captured);
-    for v in input {
-        let fields = v.as_tuple().ok_or_else(|| {
-            KernelError::new(format!(
-                "reduceByKey expects (key, value) tuples, got {v:?}"
-            ))
-        })?;
-        if fields.len() != 2 {
-            return Err(KernelError::new(format!(
-                "reduceByKey expects 2-field tuples, got {v:?}"
-            )));
-        }
-        match acc.entry(fields[0].clone()) {
-            Entry::Vacant(e) => {
-                e.insert(fields[1].clone());
-            }
-            Entry::Occupied(mut e) => {
-                params[0] = e.get().clone();
-                params[1] = fields[1].clone();
-                *e.get_mut() = eval(expr, &params)?;
-            }
-        }
+    let mut fold = KeyedFold::default();
+    fold.push(expr, captured, input)?;
+    Ok(fold.finish())
+}
+
+/// The running global fold of a `reduce`.
+#[derive(Default)]
+pub struct Fold {
+    acc: Option<Value>,
+}
+
+impl Fold {
+    /// A fold seeded with `init` (the empty-bag value of `sum`/`count`), or
+    /// with the first element pushed when there is none.
+    pub fn new(init: Option<Value>) -> Fold {
+        Fold { acc: init }
     }
-    let mut out: Vec<(Value, Value)> = acc.into_iter().collect();
-    out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-    Ok(out.into_iter().map(|(k, v)| Value::tuple([k, v])).collect())
+
+    /// Folds a chunk in, in order, with
+    /// `expr($0 = acc, $1 = element, $2.. = captured)`.
+    pub fn push(
+        &mut self,
+        expr: &Expr,
+        captured: &[Value],
+        chunk: &[Value],
+    ) -> Result<(), KernelError> {
+        let mut params = fold_params(captured);
+        for v in chunk {
+            self.acc = Some(match self.acc.take() {
+                None => v.clone(),
+                Some(acc) => {
+                    params[0] = acc;
+                    params[1] = v.clone();
+                    eval(expr, &params)?
+                }
+            });
+        }
+        Ok(())
+    }
+
+    /// The folded value; an error if nothing was pushed and there was no
+    /// `init`.
+    pub fn finish(self) -> Result<Value, KernelError> {
+        self.acc
+            .ok_or_else(|| KernelError::new("reduce on an empty bag with no initial value"))
+    }
 }
 
 /// `reduce`: global fold with `expr($0 = acc, $1 = element, $2.. =
@@ -167,49 +282,30 @@ pub fn reduce(
     init: Option<&Value>,
     input: &[Value],
 ) -> Result<Option<Value>, KernelError> {
-    let mut acc = match (init, input.first()) {
-        (Some(init), _) => init.clone(),
-        (None, Some(first)) => {
-            let mut params = Vec::with_capacity(2 + captured.len());
-            params.push(first.clone());
-            params.push(Value::Unit);
-            params.extend_from_slice(captured);
-            let mut acc = first.clone();
-            for v in &input[1..] {
-                params[0] = acc;
-                params[1] = v.clone();
-                acc = eval(expr, &params)?;
-            }
-            return Ok(Some(acc));
-        }
-        (None, None) => {
-            return Err(KernelError::new(
-                "reduce on an empty bag with no initial value",
-            ))
-        }
-    };
-    let mut params = Vec::with_capacity(2 + captured.len());
-    params.push(Value::Unit);
-    params.push(Value::Unit);
-    params.extend_from_slice(captured);
-    for v in input {
-        params[0] = acc;
-        params[1] = v.clone();
-        acc = eval(expr, &params)?;
+    let mut fold = Fold::new(init.cloned());
+    fold.push(expr, captured, input)?;
+    fold.finish().map(Some)
+}
+
+/// The elements a `distinct` has let through so far.
+#[derive(Default)]
+pub struct DedupSet {
+    seen: HashSet<Value>,
+}
+
+impl DedupSet {
+    /// The elements of `chunk` not seen before (in this chunk or an
+    /// earlier one), in chunk order.
+    pub fn push(&mut self, chunk: &[Value]) -> Vec<Value> {
+        self.seen.reserve(chunk.len());
+        let fresh = chunk.iter().filter(|v| self.seen.insert((*v).clone()));
+        fresh.cloned().collect()
     }
-    Ok(Some(acc))
 }
 
 /// `distinct`: removes duplicates, keeping first occurrences.
 pub fn distinct(input: &[Value]) -> Vec<Value> {
-    let mut seen: HashSet<&Value> = HashSet::with_capacity(input.len());
-    let mut out = Vec::new();
-    for v in input {
-        if seen.insert(v) {
-            out.push(v.clone());
-        }
-    }
-    out
+    DedupSet::default().push(input)
 }
 
 #[cfg(test)]
@@ -410,6 +506,31 @@ mod tests {
                 Value::I64(9)
             ])]
         );
+    }
+
+    /// What the hoist cache charges and credits without walking the
+    /// table: `Σ key.estimated_bytes() + Σ row.estimated_bytes()`.
+    #[test]
+    fn join_table_records_the_residency_a_walk_finds() {
+        let wide = Value::tuple([Value::str("k"), Value::str("payload"), Value::F64(0.5)]);
+        let bag = vec![
+            kv(1, 10),
+            kv(2, 20),
+            kv(1, 11),
+            Value::I64(7),
+            wide.clone(),
+            wide,
+        ];
+        let table = JoinTable::build(bag);
+        let (mut elems, mut bytes) = (0, 0);
+        for (key, rows) in &table.rows {
+            elems += rows.len() as u64;
+            bytes += key.estimated_bytes();
+            bytes += rows.iter().map(Value::estimated_bytes).sum::<u64>();
+        }
+        assert_eq!(table.residency(), (elems, bytes));
+        assert_eq!((elems, table.rows.len()), (6, 4));
+        assert_eq!(JoinTable::build(Vec::new()).residency(), (0, 0));
     }
 
     #[test]

@@ -16,6 +16,31 @@ fn arb_pairs(max: usize) -> impl Strategy<Value = Vec<Value>> {
         .prop_map(|ps| ps.into_iter().map(|(k, v)| kv(k, v)).collect())
 }
 
+fn arb_cuts() -> impl Strategy<Value = Vec<usize>> {
+    prop::collection::vec(0usize..64, 0..6)
+}
+
+/// Splits `input` at `cuts` (each taken modulo the length): what a host
+/// sees when a bag arrives in pieces. Repeated cuts, a cut at 0 and an
+/// empty input all yield empty chunks.
+fn chunks<'a>(input: &'a [Value], cuts: &[usize]) -> Vec<&'a [Value]> {
+    let mut at: Vec<usize> = cuts.iter().map(|c| c % (input.len() + 1)).collect();
+    at.push(input.len());
+    at.sort_unstable();
+    let mut start = 0;
+    at.into_iter()
+        .map(|end| {
+            let chunk = &input[start..end];
+            start = end;
+            chunk
+        })
+        .collect()
+}
+
+fn sub() -> Expr {
+    Expr::bin(BinOp::Sub, Expr::Param(0), Expr::Param(1))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
 
@@ -144,5 +169,88 @@ proptest! {
             let expected = Value::tuple([x.clone(), y.clone()]);
             prop_assert!(out.contains(&expected));
         }
+    }
+
+    /// A table built once and probed chunk by chunk yields `join`'s rows
+    /// in `join`'s order: probe order, then build order within a key.
+    #[test]
+    fn join_probed_in_chunks(left in arb_pairs(24), right in arb_pairs(24), cuts in arb_cuts()) {
+        let table = kernel::JoinTable::build(left.clone());
+        let mut chunked = Vec::new();
+        for chunk in chunks(&right, &cuts) {
+            chunked.extend(table.probe(chunk));
+        }
+        let mut naive = Vec::new();
+        for r in &right {
+            for l in left.iter().filter(|l| l.key() == r.key()) {
+                let (lv, rv) = (l.field(1).unwrap(), r.field(1).unwrap());
+                naive.push(Value::tuple([r.key().clone(), lv.clone(), rv.clone()]));
+            }
+        }
+        prop_assert_eq!(&chunked, &naive);
+        prop_assert_eq!(chunked, kernel::join(&left, &right));
+    }
+
+    /// Pushing a bag into a per-key fold in pieces equals one
+    /// `reduce_by_key` over it and the group-then-sum specification.
+    #[test]
+    fn reduce_by_key_pushed_in_chunks(input in arb_pairs(40), cuts in arb_cuts()) {
+        let add = Expr::bin(BinOp::Add, Expr::Param(0), Expr::Param(1));
+        let mut fold = kernel::KeyedFold::default();
+        for chunk in chunks(&input, &cuts) {
+            fold.push(&add, &[], chunk).unwrap();
+        }
+        let chunked = fold.finish();
+        let mut sums: std::collections::BTreeMap<i64, i64> = Default::default();
+        for p in &input {
+            let t = p.as_tuple().unwrap();
+            *sums.entry(t[0].as_i64().unwrap()).or_default() += t[1].as_i64().unwrap();
+        }
+        let naive: Vec<Value> = sums.into_iter().map(|(k, v)| kv(k, v)).collect();
+        prop_assert_eq!(&chunked, &naive);
+        prop_assert_eq!(chunked, kernel::reduce_by_key(&add, &[], &input).unwrap());
+    }
+
+    /// A global fold pushed in pieces keeps input order (subtraction is
+    /// neither commutative nor associative), seeded with `init` or with the
+    /// first element; with neither it fails exactly as `reduce` does.
+    #[test]
+    fn reduce_pushed_in_chunks(
+        values in prop::collection::vec(-100i64..100, 0..40),
+        init in -100i64..100,
+        seeded in any::<bool>(),
+        cuts in arb_cuts(),
+    ) {
+        let input: Vec<Value> = values.iter().copied().map(Value::I64).collect();
+        let init = seeded.then_some(Value::I64(init));
+        let mut fold = kernel::Fold::new(init.clone());
+        for chunk in chunks(&input, &cuts) {
+            fold.push(&sub(), &[], chunk).unwrap();
+        }
+        let chunked = fold.finish();
+        let mut all = init.iter().filter_map(Value::as_i64).chain(values.iter().copied());
+        let naive = all.next().map(|first| Value::I64(first - all.sum::<i64>()));
+        prop_assert_eq!(chunked.clone().ok(), naive);
+        let one_shot = kernel::reduce(&sub(), &[], init.as_ref(), &input);
+        prop_assert_eq!(chunked.map(Some), one_shot);
+    }
+
+    /// A dedup set fed in pieces lets each element through once, at its
+    /// first occurrence — also when that and a repeat straddle a boundary.
+    #[test]
+    fn distinct_pushed_in_chunks(input in arb_pairs(40), cuts in arb_cuts()) {
+        let mut seen = kernel::DedupSet::default();
+        let mut chunked = Vec::new();
+        for chunk in chunks(&input, &cuts) {
+            chunked.extend(seen.push(chunk));
+        }
+        let mut naive: Vec<Value> = Vec::new();
+        for v in &input {
+            if !naive.contains(v) {
+                naive.push(v.clone());
+            }
+        }
+        prop_assert_eq!(&chunked, &naive);
+        prop_assert_eq!(chunked, kernel::distinct(&input));
     }
 }

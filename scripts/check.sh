@@ -50,6 +50,18 @@ if [ -n "$env_reads$switches" ]; then
     exit 1
 fi
 
+# One implementation per keyed operator: join / cross / reduceByKey / reduce /
+# distinct state lives in crates/ir/src/kernel.rs; the host coordinates
+# around it and may not grow a second copy of a table, a seen-set or a
+# joined-row builder.
+host_copies="$(grep -nE 'HashMap<Value|HashSet<Value|join_row' \
+    crates/core/src/host.rs || true)"
+if [ -n "$host_copies" ]; then
+    echo "check.sh: host.rs implements operator state that belongs in kernel.rs:" >&2
+    echo "$host_copies" >&2
+    exit 1
+fi
+
 # The profiler must run end-to-end on the nested-loops example and print
 # its per-iteration table and critical path.
 profile_out="$(./target/release/mitos profile examples/nested_loops.mt --machines 3)"

@@ -205,6 +205,31 @@ fn heterogeneous_bag_takes_the_row_fallback_through_the_engine() {
     }
 }
 
+/// One error text per failure: malformed `reduceByKey` input and an empty
+/// `reduce` without an initial value are reported by `mitos_ir::kernel`
+/// alone, and the interpreter and both drivers pass its message on as is.
+#[test]
+fn keyed_operator_failures_carry_the_kernel_message_everywhere() {
+    let cases = [
+        (
+            r#"output(bag((1, 2, 3)).reduceByKey((a, b) => a + b), "sums");"#,
+            "reduceByKey expects (key, value) tuples, got (1, 2, 3)",
+        ),
+        (
+            r#"output(bag(1, 2).filter(x => x > 5).reduce((a, b) => a + b), "r");"#,
+            "reduce on an empty bag with no initial value",
+        ),
+    ];
+    for (src, want) in cases {
+        let func = compile(src).unwrap();
+        for engine in [Engine::Reference, Engine::Mitos, Engine::MitosThreads] {
+            let job = Run::new(&func).engine(engine).machines(2);
+            let err = job.execute(&InMemoryFs::new()).expect_err(src);
+            assert_eq!(err.message, want, "{engine}");
+        }
+    }
+}
+
 #[test]
 fn deeply_nested_control_flow() {
     check_all(
