@@ -3,9 +3,9 @@
 //! iterations, fast) on the Visit Count task at a fixed cluster size.
 //! The paper reports Spark ~11x slower than Flink on 24 machines.
 
-use mitos_bench::{fmt_factor, fmt_ms, full_scale, visit_cost, BenchReport, System, Table};
+use mitos::{Engine, EngineConfig};
+use mitos_bench::{fmt_factor, fmt_ms, full_scale, virtual_ms, visit_cost, BenchReport, Table};
 use mitos_fs::InMemoryFs;
-use mitos_sim::SimConfig;
 use mitos_workloads::{generate_visit_logs, visit_count_program, VisitCountSpec};
 
 fn main() {
@@ -31,22 +31,23 @@ fn main() {
     let mut spark_ms = 0.0;
     // Flink here plays the paper's "functional control flow" role (native
     // iterations); Spark is the imperative driver loop.
-    for system in [System::FlinkNative, System::Spark] {
+    let config = EngineConfig::new().with_cost(visit_cost());
+    for (label, engine) in [("Flink", Engine::FlinkNative), ("Spark", Engine::Spark)] {
         let fs = InMemoryFs::new();
         generate_visit_logs(&fs, &spec);
-        let ms = system.run_with(&func, &fs, SimConfig::with_machines(machines), visit_cost());
-        if system == System::FlinkNative {
+        let ms = virtual_ms(&func, &fs, engine, config.clone(), machines);
+        if engine == Engine::FlinkNative {
             flink_ms = ms;
         } else {
             spark_ms = ms;
         }
         table.row(vec![
-            system.label().to_string(),
+            label.to_string(),
             fmt_ms(ms),
             fmt_factor(ms / flink_ms),
         ]);
         report.row(vec![
-            ("system", system.label().into()),
+            ("system", label.into()),
             ("machines", machines.into()),
             ("days", days.into()),
             ("ms", ms.into()),

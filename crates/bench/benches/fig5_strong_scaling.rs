@@ -3,9 +3,9 @@
 //! (their per-step overhead grows with the cluster); at 25 machines Mitos
 //! is ~10x faster than Spark and ~3x faster than Flink.
 
-use mitos_bench::{fmt_ms, full_scale, visit_cost, BenchReport, System, Table};
+use mitos::{Engine, EngineConfig};
+use mitos_bench::{fmt_ms, full_scale, virtual_ms, visit_cost, BenchReport, Table};
 use mitos_fs::InMemoryFs;
-use mitos_sim::SimConfig;
 use mitos_workloads::{generate_visit_logs, visit_count_program, VisitCountSpec};
 
 fn main() {
@@ -21,7 +21,8 @@ fn main() {
         seed: 5,
     };
     let func = mitos_ir::compile_str(&visit_count_program(days, false)).unwrap();
-    let systems = [System::Spark, System::FlinkNative, System::Mitos];
+    let engines = [Engine::Spark, Engine::FlinkNative, Engine::Mitos];
+    let config = EngineConfig::new().with_cost(visit_cost());
 
     println!("\n=== Figure 5: strong scaling (Visit Count) ===");
     println!("{days} days x {visits} visits/day\n");
@@ -38,10 +39,10 @@ fn main() {
     for machines in [2u16, 4, 8, 16, 25] {
         let mut cells = vec![machines.to_string()];
         let mut times = Vec::new();
-        for system in systems {
+        for engine in engines {
             let fs = InMemoryFs::new();
             generate_visit_logs(&fs, &spec);
-            let ms = system.run_with(&func, &fs, SimConfig::with_machines(machines), visit_cost());
+            let ms = virtual_ms(&func, &fs, engine, config.clone(), machines);
             times.push(ms);
             cells.push(fmt_ms(ms));
         }

@@ -4,17 +4,15 @@
 //! (separate jobs), with the largest Flink factors at SMALL inputs where
 //! Flink's per-step overhead dominates.
 //!
-//! The Mitos leg runs through the engine directly (not the [`System`]
-//! wrapper) so the report can also record the data-plane flow telemetry:
+//! The Mitos leg keeps its whole [`mitos::Outcome`] (not just the
+//! makespan) so the report can also record the data-plane flow telemetry:
 //! total bytes on the wire per sweep point, plus a per-edge breakdown at
 //! the largest input — the observed communication volume behind the
 //! virtual-time speedups.
 
-use mitos_bench::{fmt_factor, fmt_ms, full_scale, visit_cost, BenchReport, System, Table};
-use mitos_core::rt::EngineConfig;
-use mitos_core::{run_sim, FlowReport};
+use mitos::{Engine, EngineConfig, FlowReport, Run};
+use mitos_bench::{fmt_factor, fmt_ms, full_scale, virtual_ms, visit_cost, BenchReport, Table};
 use mitos_fs::InMemoryFs;
-use mitos_sim::SimConfig;
 use mitos_workloads::{
     generate_page_types, generate_visit_logs, visit_count_program, VisitCountSpec,
 };
@@ -28,14 +26,13 @@ fn main() {
         &[300, 1_500, 6_000]
     };
     let func = mitos_ir::compile_str(&visit_count_program(days, true)).unwrap();
-    let baselines = [System::Spark, System::FlinkSeparateJobs];
+    let baselines = [Engine::Spark, Engine::FlinkSeparateJobs];
+    let baseline_cfg = EngineConfig::new().with_cost(visit_cost());
     // Larger network batches than the 1024-element default: with the
     // columnar wire encoding the per-message framing is what batching
     // amortizes, so the data-heavy sweep ships 4096 elements per
     // `Msg::Data`.
-    let mitos_cfg = EngineConfig::new()
-        .with_cost(visit_cost())
-        .with_batch_elems(4096);
+    let mitos_cfg = baseline_cfg.clone().with_batch_elems(4096);
 
     println!("\n=== Figure 6: input-size sweep (Visit Count + pageTypes) ===");
     println!("{days} days, {machines} machines\n");
@@ -66,44 +63,42 @@ fn main() {
         };
         let mut cells = vec![visits.to_string()];
         let mut times = Vec::new();
-        for system in baselines {
+        for engine in baselines {
             let fs = InMemoryFs::new();
             generate_visit_logs(&fs, &spec);
             generate_page_types(&fs, pages, 4, 2);
-            let ms = system.run_with(&func, &fs, SimConfig::with_machines(machines), visit_cost());
+            let ms = virtual_ms(&func, &fs, engine, baseline_cfg.clone(), machines);
             times.push(ms);
             cells.push(fmt_ms(ms));
         }
         let fs = InMemoryFs::new();
         generate_visit_logs(&fs, &spec);
         generate_page_types(&fs, pages, 4, 2);
-        let r = run_sim(
-            &func,
-            &fs,
-            mitos_cfg.clone(),
-            SimConfig::with_machines(machines),
-        )
-        .expect("mitos run");
-        let mitos_ms = r.sim.end_time as f64 / 1e6;
-        times.push(mitos_ms);
-        cells.push(fmt_ms(mitos_ms));
+        let r = Run::new(&func)
+            .machines(machines)
+            .config(mitos_cfg.clone())
+            .execute(&fs)
+            .expect("mitos run");
+        times.push(r.millis());
+        cells.push(fmt_ms(r.millis()));
+        let flow = r.flow.expect("Mitos accounts flow");
         cells.push(fmt_factor(times[0] / times[2]));
         cells.push(fmt_factor(times[1] / times[2]));
-        cells.push(mitos_core::obs::flow::fmt_bytes(r.flow.bytes_on_wire()));
+        cells.push(mitos_core::obs::flow::fmt_bytes(flow.bytes_on_wire()));
         table.row(cells);
         report.row(vec![
             ("visits_per_day", visits.into()),
             ("spark_ms", times[0].into()),
             ("flink_sep_ms", times[1].into()),
             ("mitos_ms", times[2].into()),
-            ("bytes_on_wire", r.flow.bytes_on_wire().into()),
-            ("bytes_total", r.flow.bytes_total().into()),
-            ("elements", r.flow.elements_in_total().into()),
-            ("data_messages", r.flow.messages_in_total().into()),
+            ("bytes_on_wire", flow.bytes_on_wire().into()),
+            ("bytes_total", flow.bytes_total().into()),
+            ("elements", flow.elements_in_total().into()),
+            ("data_messages", flow.messages_in_total().into()),
         ]);
         max_spark = max_spark.max(times[0] / times[2]);
         max_flink = max_flink.max(times[1] / times[2]);
-        largest_flow = Some(r.flow);
+        largest_flow = Some(flow);
     }
     table.print();
     report.factor("spark_vs_mitos_max", max_spark);

@@ -4,9 +4,9 @@
 //! magnitude above the native-iteration systems (Mitos, Flink, TensorFlow,
 //! Naiad), with the job-launch overhead growing linearly in machines.
 
+use mitos::{Engine, EngineConfig, ObsLevel, Run};
 use mitos_baselines::{run_naiad_loop, run_tf_loop, NaiadConfig, TfConfig};
-use mitos_bench::{full_scale, trivial_loop_program, BenchReport, System, Table};
-use mitos_core::{build_step_trees, EngineConfig, ObsLevel, PhaseHistograms};
+use mitos_bench::{full_scale, trivial_loop_program, virtual_ms, BenchReport, Table};
 use mitos_fs::InMemoryFs;
 use mitos_sim::SimConfig;
 
@@ -32,9 +32,15 @@ fn main() {
     for machines in [1u16, 3, 5, 9, 13, 19, 25] {
         let cluster = SimConfig::with_machines(machines);
         let per_step = |total_ms: f64| total_ms / steps as f64;
-        let run = |s: System| {
-            let fs = InMemoryFs::new();
-            per_step(s.run(&func, &fs, cluster))
+        let run = |engine: Engine| {
+            let ms = virtual_ms(
+                &func,
+                &InMemoryFs::new(),
+                engine,
+                EngineConfig::new(),
+                machines,
+            );
+            per_step(ms)
         };
         let naiad = per_step(
             run_naiad_loop(
@@ -55,17 +61,22 @@ fn main() {
             cluster,
         );
         let tf = per_step(tf_report.end_time as f64 / 1e6);
-        let spark = run(System::Spark);
-        let flink_sep = run(System::FlinkSeparateJobs);
-        let flink = run(System::FlinkNative);
-        // Run Mitos directly so the sweep can also record the state
+        let spark = run(Engine::Spark);
+        let flink_sep = run(Engine::FlinkSeparateJobs);
+        let flink = run(Engine::FlinkNative);
+        // Keep Mitos's whole outcome so the sweep can also record the state
         // registry's peak residency at each cluster size — the control
         // plane should hold O(1) bags per machine regardless of scale.
         let fs = InMemoryFs::new();
-        let mitos_result =
-            mitos_core::run_sim(&func, &fs, EngineConfig::new(), cluster).expect("mitos run");
-        let mitos = per_step(mitos_result.sim.end_time as f64 / 1e6);
-        let peak_resident = mitos_result.mem.peak_resident();
+        let mitos_result = Run::new(&func)
+            .cluster(cluster)
+            .execute(&fs)
+            .expect("mitos run");
+        let mitos = per_step(mitos_result.millis());
+        let peak_resident = mitos_result
+            .mem()
+            .expect("Mitos accounts residency")
+            .peak_resident();
         max_peak_resident = max_peak_resident.max(peak_resident);
         let cell = |ms: f64| format!("{ms:.2}");
         table.row(vec![
@@ -90,7 +101,14 @@ fn main() {
             // Wire volume of the whole loop: the control plane's batches
             // are tiny, so this tracks per-message framing, not payload —
             // the overhead the columnar encoding shrinks.
-            ("mitos_wire_bytes", mitos_result.flow.bytes_on_wire().into()),
+            (
+                "mitos_wire_bytes",
+                mitos_result
+                    .flow()
+                    .expect("Mitos accounts flow")
+                    .bytes_on_wire()
+                    .into(),
+            ),
         ]);
         max_spark = max_spark.max(spark / mitos);
     }
@@ -105,8 +123,12 @@ fn main() {
     let cluster = SimConfig::with_machines(5);
     let traced_cfg = EngineConfig::new().with_obs(ObsLevel::Trace);
     let fs = InMemoryFs::new();
-    let traced = mitos_core::run_sim(&func, &fs, traced_cfg.clone(), cluster).expect("traced run");
-    let histos = PhaseHistograms::from_trees(&build_step_trees(traced.obs.as_ref().unwrap()));
+    let traced = Run::new(&func)
+        .cluster(cluster)
+        .config(traced_cfg.clone())
+        .execute(&fs)
+        .expect("traced run");
+    let histos = traced.phase_histograms().expect("a run at ObsLevel::Trace");
     println!("\nMitos control-plane phase latencies (5 machines, ns):");
     for (phase, h) in histos.phases() {
         println!(
@@ -138,12 +160,12 @@ fn main() {
     let virt_step_ms = |templates: bool| -> (f64, f64) {
         let cfg = EngineConfig::new().with_templates(templates);
         let fs = InMemoryFs::new();
-        let r =
-            mitos_core::run_sim(&abl_func, &fs, cfg, abl_cluster).expect("template ablation run");
-        (
-            r.sim.end_time as f64 / 1e6 / f64::from(abl_steps),
-            r.template_hit_rate(),
-        )
+        let r = Run::new(&abl_func)
+            .cluster(abl_cluster)
+            .config(cfg)
+            .execute(&fs)
+            .expect("template ablation run");
+        (r.millis() / f64::from(abl_steps), r.template_hit_rate())
     };
     let (on_ms, on_rate) = virt_step_ms(true);
     let (off_ms, off_rate) = virt_step_ms(false);

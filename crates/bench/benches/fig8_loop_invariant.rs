@@ -5,9 +5,9 @@
 //! Mitos-without-hoisting also linear, up to 11x slower than Mitos; Mitos
 //! and Flink flat (they build the join hash table once).
 
-use mitos_bench::{fmt_factor, fmt_ms, full_scale, invariant_cost, BenchReport, System, Table};
+use mitos::{Engine, EngineConfig};
+use mitos_bench::{fmt_factor, fmt_ms, full_scale, invariant_cost, virtual_ms, BenchReport, Table};
 use mitos_fs::InMemoryFs;
-use mitos_sim::SimConfig;
 use mitos_workloads::{
     generate_page_types, generate_visit_logs, visit_count_program, VisitCountSpec,
 };
@@ -21,11 +21,12 @@ fn main() {
     } else {
         &[2_000, 20_000, 120_000]
     };
+    let config = EngineConfig::new().with_cost(invariant_cost());
     let systems = [
-        System::Spark,
-        System::MitosNoHoisting,
-        System::FlinkNative,
-        System::Mitos,
+        (Engine::Spark, config.clone()),
+        (Engine::Mitos, config.clone().with_hoisting(false)),
+        (Engine::FlinkNative, config.clone()),
+        (Engine::Mitos, config),
     ];
 
     println!("\n=== Figure 8: loop-invariant dataset size sweep ===");
@@ -52,16 +53,11 @@ fn main() {
         let func = mitos_ir::compile_str(&visit_count_program(days, true)).unwrap();
         let mut cells = vec![pages.to_string()];
         let mut times = Vec::new();
-        for system in systems {
+        for (engine, config) in &systems {
             let fs = InMemoryFs::new();
             generate_visit_logs(&fs, &spec);
             generate_page_types(&fs, pages, 4, 3);
-            let ms = system.run_with(
-                &func,
-                &fs,
-                SimConfig::with_machines(machines),
-                invariant_cost(),
-            );
+            let ms = virtual_ms(&func, &fs, *engine, config.clone(), machines);
             times.push(ms);
             cells.push(fmt_ms(ms));
         }

@@ -2,9 +2,9 @@
 //! pageTypes join) on Mitos with and without pipelining, sweeping machine
 //! count. The paper reports pipelining winning by 1.1x up to ~4.2x.
 
-use mitos_bench::{fmt_factor, fmt_ms, full_scale, visit_cost, BenchReport, System, Table};
+use mitos::{Engine, EngineConfig};
+use mitos_bench::{fmt_factor, fmt_ms, full_scale, virtual_ms, visit_cost, BenchReport, Table};
 use mitos_fs::InMemoryFs;
-use mitos_sim::SimConfig;
 use mitos_workloads::{generate_visit_logs, visit_count_program, VisitCountSpec};
 
 fn main() {
@@ -26,19 +26,15 @@ fn main() {
     let mut table = Table::new(&["machines", "Mitos (not pipelined)", "Mitos", "speedup"]);
     let mut report = BenchReport::new("fig9", "loop pipelining ablation");
     let mut max_speedup = 0.0f64;
+    let config = EngineConfig::new().with_cost(visit_cost());
+    let run = |config: EngineConfig, machines: u16| {
+        let fs = InMemoryFs::new();
+        generate_visit_logs(&fs, &spec);
+        virtual_ms(&func, &fs, Engine::Mitos, config, machines)
+    };
     for machines in [2u16, 4, 8, 16, 25] {
-        let fs = InMemoryFs::new();
-        generate_visit_logs(&fs, &spec);
-        let no_pipe = System::MitosNoPipelining.run_with(
-            &func,
-            &fs,
-            SimConfig::with_machines(machines),
-            visit_cost(),
-        );
-        let fs = InMemoryFs::new();
-        generate_visit_logs(&fs, &spec);
-        let pipe =
-            System::Mitos.run_with(&func, &fs, SimConfig::with_machines(machines), visit_cost());
+        let no_pipe = run(config.clone().with_pipelining(false), machines);
+        let pipe = run(config.clone(), machines);
         table.row(vec![
             machines.to_string(),
             fmt_ms(no_pipe),

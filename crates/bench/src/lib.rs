@@ -11,12 +11,10 @@
 
 #![warn(missing_docs)]
 
-use mitos_baselines::{flink_driver_config, run_driver_loop, run_flink_native_with, DriverConfig};
-use mitos_core::rt::EngineConfig;
-use mitos_core::{run_sim, CostModel};
+use mitos::{Engine, EngineConfig, Run};
+use mitos_core::CostModel;
 use mitos_fs::InMemoryFs;
 use mitos_ir::FuncIr;
-use mitos_sim::SimConfig;
 
 /// Whether paper-scale workloads were requested.
 pub fn full_scale() -> bool {
@@ -44,106 +42,24 @@ pub fn git_sha() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-/// The systems compared across the figures.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum System {
-    /// Mitos with pipelining and hoisting.
-    Mitos,
-    /// Mitos with pipelining disabled.
-    MitosNoPipelining,
-    /// Mitos with hoisting disabled.
-    MitosNoHoisting,
-    /// Flink-style native iterations.
-    FlinkNative,
-    /// Flink submitting one job per step.
-    FlinkSeparateJobs,
-    /// Spark-style driver loop.
-    Spark,
-}
-
-impl System {
-    /// The label used in the paper's plots.
-    pub fn label(self) -> &'static str {
-        match self {
-            System::Mitos => "Mitos",
-            System::MitosNoPipelining => "Mitos (not pipelined)",
-            System::MitosNoHoisting => "Mitos (wo. hoisting)",
-            System::FlinkNative => "Flink",
-            System::FlinkSeparateJobs => "Flink (separate jobs)",
-            System::Spark => "Spark",
-        }
-    }
-
-    /// Runs a compiled program with the default (weight-1) cost model,
-    /// returning the virtual makespan in milliseconds.
-    pub fn run(self, func: &FuncIr, fs: &InMemoryFs, cluster: SimConfig) -> f64 {
-        self.run_with(func, fs, cluster, CostModel::default())
-    }
-
-    /// Runs a compiled program under an explicit cost model.
-    pub fn run_with(
-        self,
-        func: &FuncIr,
-        fs: &InMemoryFs,
-        cluster: SimConfig,
-        cost: CostModel,
-    ) -> f64 {
-        let ns = match self {
-            System::Mitos => {
-                run_sim(func, fs, EngineConfig::new().with_cost(cost), cluster)
-                    .expect("mitos run")
-                    .sim
-                    .end_time
-            }
-            System::MitosNoPipelining => {
-                run_sim(
-                    func,
-                    fs,
-                    EngineConfig::new().with_pipelining(false).with_cost(cost),
-                    cluster,
-                )
-                .expect("mitos nopipe run")
-                .sim
-                .end_time
-            }
-            System::MitosNoHoisting => {
-                run_sim(
-                    func,
-                    fs,
-                    EngineConfig::new().with_hoisting(false).with_cost(cost),
-                    cluster,
-                )
-                .expect("mitos nohoist run")
-                .sim
-                .end_time
-            }
-            System::FlinkNative => {
-                run_flink_native_with(func, fs, cluster, cost)
-                    .expect("flink native run")
-                    .sim
-                    .end_time
-            }
-            System::FlinkSeparateJobs => {
-                let mut config = flink_driver_config();
-                config.cost = cost;
-                run_driver_loop(func, fs, config, cluster)
-                    .expect("flink separate jobs run")
-                    .sim
-                    .end_time
-            }
-            System::Spark => {
-                let config = DriverConfig {
-                    cost,
-                    ..DriverConfig::default()
-                };
-                run_driver_loop(func, fs, config, cluster)
-                    .expect("spark run")
-                    .sim
-                    .end_time
-            }
-        };
-        ns as f64 / 1e6
-    }
+/// Runs a compiled program through [`Run`] on a simulated cluster of
+/// `machines`, returning the virtual makespan in milliseconds. `config`
+/// carries the cost model, which every engine honours, and the Mitos
+/// ablations.
+pub fn virtual_ms(
+    func: &FuncIr,
+    fs: &InMemoryFs,
+    engine: Engine,
+    config: EngineConfig,
+    machines: u16,
+) -> f64 {
+    Run::new(func)
+        .engine(engine)
+        .machines(machines)
+        .config(config)
+        .execute(fs)
+        .unwrap_or_else(|e| panic!("{engine}: {e}"))
+        .millis()
 }
 
 /// The cost model used by the Visit Count figures: each simulated element
@@ -459,18 +375,19 @@ mod tests {
             seed: 1,
         };
         let func = mitos_ir::compile_str(&visit_count_program(3, false)).unwrap();
-        for system in [
-            System::Mitos,
-            System::MitosNoPipelining,
-            System::MitosNoHoisting,
-            System::FlinkNative,
-            System::FlinkSeparateJobs,
-            System::Spark,
+        let config = EngineConfig::new().with_cost(visit_cost());
+        for (engine, config) in [
+            (Engine::Mitos, config.clone()),
+            (Engine::Mitos, config.clone().with_pipelining(false)),
+            (Engine::Mitos, config.clone().with_hoisting(false)),
+            (Engine::FlinkNative, config.clone()),
+            (Engine::FlinkSeparateJobs, config.clone()),
+            (Engine::Spark, config),
         ] {
             let fs = InMemoryFs::new();
             generate_visit_logs(&fs, &spec);
-            let ms = system.run(&func, &fs, SimConfig::with_machines(2));
-            assert!(ms > 0.0, "{system:?}");
+            let ms = virtual_ms(&func, &fs, engine, config, 2);
+            assert!(ms > 0.0, "{engine}");
         }
     }
 
@@ -478,7 +395,7 @@ mod tests {
     fn trivial_loop_compiles_and_runs() {
         let func = mitos_ir::compile_str(&trivial_loop_program(5)).unwrap();
         let fs = InMemoryFs::new();
-        let ms = System::Mitos.run(&func, &fs, SimConfig::with_machines(2));
+        let ms = virtual_ms(&func, &fs, Engine::Mitos, EngineConfig::new(), 2);
         assert!(ms > 0.0);
     }
 

@@ -193,9 +193,9 @@ pub struct FaultPlan {
     /// may run. With this off, injected loss goes unrecovered and the
     /// stall watchdog is expected to fire.
     pub retransmit: bool,
-    /// Withhold all condition-decision broadcasts (the former
-    /// `MITOS_FAULT_WITHHOLD_DECISIONS` switch, folded in here): the
-    /// canonical unrecoverable control-plane fault.
+    /// Withhold all condition-decision broadcasts (the CLI's
+    /// `--fault-withhold-decisions`): the canonical unrecoverable
+    /// control-plane fault.
     pub withhold_decisions: bool,
 }
 

@@ -8,7 +8,7 @@
 
 use mitos::fs::InMemoryFs;
 use mitos::workloads::{generate_visit_logs, visit_count_program, VisitCountSpec};
-use mitos::{compile, Engine, Run};
+use mitos::{compile, Engine, EngineConfig, Run};
 
 fn main() {
     let days = 15;
@@ -29,25 +29,26 @@ fn main() {
     println!("{:<28} {:>14} {:>12}", "engine", "time (vms)", "vs Mitos");
     let machines = 8;
     let mut mitos_ms = 0.0;
-    for engine in [
-        Engine::Mitos,
-        Engine::MitosNoPipelining,
-        Engine::FlinkSeparateJobs,
-        Engine::Spark,
+    for (label, engine, pipelined) in [
+        ("Mitos", Engine::Mitos, true),
+        ("Mitos (not pipelined)", Engine::Mitos, false),
+        ("Flink (separate jobs)", Engine::FlinkSeparateJobs, true),
+        ("Spark", Engine::Spark, true),
     ] {
         let fs = InMemoryFs::new();
         generate_visit_logs(&fs, &spec);
         let outcome = Run::new(&func)
             .engine(engine)
             .machines(machines)
+            .config(EngineConfig::new().with_pipelining(pipelined))
             .execute(&fs)
             .expect("runs");
-        if engine == Engine::Mitos {
+        if engine == Engine::Mitos && pipelined {
             mitos_ms = outcome.millis();
         }
         println!(
             "{:<28} {:>14.1} {:>11.1}x",
-            engine.to_string(),
+            label,
             outcome.millis(),
             outcome.millis() / mitos_ms
         );

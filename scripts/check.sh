@@ -36,12 +36,12 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --offline --workspace
 
 # One path per mechanism: no process-wide behaviour switch may come back.
-# Library code reads no environment variable at all (src/main.rs owns
-# MITOS_FAULT_WITHHOLD_DECISIONS, crates/bench owns MITOS_BENCH_DIR /
-# MITOS_BENCH_FULL / MITOS_GIT_SHA), and no MITOS_*_OFF name appears
-# anywhere. (Patterns are spelled so this file does not match itself.)
+# Neither the library nor the CLI reads an environment variable (only
+# crates/bench does: MITOS_BENCH_DIR / MITOS_BENCH_FULL / MITOS_GIT_SHA),
+# and no MITOS_*_OFF name appears anywhere. (Patterns are spelled so this
+# file does not match itself.)
 env_reads="$(grep -rnE 'env::var(_os)?\(' \
-    crates/{lang,ir,core,sim,fs,workloads,baselines}/src || true)"
+    src crates/{lang,ir,core,sim,fs,workloads,baselines}/src || true)"
 switches="$(grep -rnE 'MITOS_[A-Z]*_OF[F]' \
     crates src tests scripts examples .github .claude || true)"
 if [ -n "$env_reads$switches" ]; then
@@ -124,6 +124,17 @@ echo "$fusion_explain" | grep -q "map+filter" || {
 }
 rm -f "$fusion_log"
 
+# Loop pipelining and loop-invariant hoisting change when work happens,
+# never what it computes: stdout must match the default run without either.
+ablation_default="$(./target/release/mitos run examples/nested_loops.mt --machines 3)"
+for flag in --no-pipeline --no-hoist; do
+    [ "$ablation_default" = "$(./target/release/mitos run examples/nested_loops.mt \
+        --machines 3 "$flag")" ] || {
+        echo "check.sh: $flag changed run output on nested_loops.mt" >&2
+        exit 1
+    }
+done
+
 # The fusion ablation (message-count and simulated-time reduction on the
 # fig5/fig6/fig7 workloads) must run end to end. (Captured to a variable:
 # grep -q would close the pipe early and pipefail would flag the SIGPIPE.)
@@ -153,11 +164,11 @@ cargo test -q --offline -p mitos-core --test coordination fault_ || {
 
 # Causal tracing: trace-tree must reconstruct complete span trees (no
 # orphans) on both drivers, and reject non-Mitos engines with exit 2.
-for eng in mitos threads; do
+for drv in sim threads; do
     tree_out="$(./target/release/mitos trace-tree examples/nested_loops.mt \
-        --machines 3 --engine "$eng")"
+        --machines 3 --driver "$drv")"
     echo "$tree_out" | grep -q "0 orphan" || {
-        echo "check.sh: trace-tree smoke failed on engine $eng" >&2
+        echo "check.sh: trace-tree smoke failed on driver $drv" >&2
         exit 1
     }
 done
@@ -173,15 +184,15 @@ fi
 # Data-plane flow telemetry: the per-edge report must run end-to-end on
 # both drivers, refuse non-Mitos engines with exit 2, and the JSON
 # explain report must carry a reconciling flow block.
-for eng in mitos threads; do
+for drv in sim threads; do
     flow_out="$(./target/release/mitos flow examples/nested_loops.mt \
-        --machines 3 --engine "$eng")"
+        --machines 3 --driver "$drv")"
     echo "$flow_out" | grep -q "top edges by bytes" || {
-        echo "check.sh: mitos flow smoke failed on engine $eng" >&2
+        echo "check.sh: mitos flow smoke failed on driver $drv" >&2
         exit 1
     }
     echo "$flow_out" | grep -q "per-machine" || {
-        echo "check.sh: mitos flow missing per-machine skew on engine $eng" >&2
+        echo "check.sh: mitos flow missing per-machine skew on driver $drv" >&2
         exit 1
     }
 done
@@ -210,15 +221,15 @@ flow_msgs="$(echo "$explain_json" | sed -n 's/.*"flow":{"messages":\([0-9]*\).*/
 # both drivers, report leak-freedom after a fault-free run (the leak
 # detector: nothing retained outside deliberate caches once the exit
 # sweep has run), and refuse non-Mitos engines with exit 2.
-for eng in mitos threads; do
+for drv in sim threads; do
     mem_out="$(./target/release/mitos mem examples/nested_loops.mt \
-        --machines 3 --engine "$eng")"
+        --machines 3 --driver "$drv")"
     echo "$mem_out" | grep -q "state residency by class" || {
-        echo "check.sh: mitos mem smoke failed on engine $eng" >&2
+        echo "check.sh: mitos mem smoke failed on driver $drv" >&2
         exit 1
     }
     echo "$mem_out" | grep -q "leak-free" || {
-        echo "check.sh: mitos mem leak gate failed on engine $eng" >&2
+        echo "check.sh: mitos mem leak gate failed on driver $drv" >&2
         exit 1
     }
 done

@@ -32,20 +32,22 @@
 //! assert_eq!(outcome.outputs["total"], vec![Value::I64(330)]);
 //! ```
 //!
-//! Fine-grained control — engine choice, cluster shape, observability,
-//! live telemetry, and engine tuning such as disabling operator chain
-//! fusion — goes through the [`Run`] builder:
+//! Fine-grained control goes through the [`Run`] builder, one axis per
+//! dimension: the system ([`Engine`]), where Mitos runs ([`Driver`]), the
+//! cluster shape, and every Mitos knob — observability, live telemetry,
+//! faults, and ablations such as disabling operator chain fusion — in one
+//! [`EngineConfig`]:
 //!
 //! ```
 //! # use mitos::fs::InMemoryFs;
-//! use mitos::{compile, Engine, EngineConfig, ObsLevel, Run};
+//! use mitos::{compile, Driver, Engine, EngineConfig, ObsLevel, Run};
 //! # let fs = InMemoryFs::new();
 //! let func = compile(r#"output(bag(1, 2).map(x => x + 1).sum(), "s");"#).unwrap();
 //! let outcome = Run::new(&func)
 //!     .engine(Engine::Mitos)
+//!     .driver(Driver::Threads)
 //!     .machines(2)
-//!     .obs(ObsLevel::Metrics)
-//!     .config(EngineConfig::new().with_fusion(false))
+//!     .config(EngineConfig::new().with_obs(ObsLevel::Metrics).with_fusion(false))
 //!     .execute(&fs)
 //!     .unwrap();
 //! ```
@@ -72,6 +74,7 @@ pub use mitos_lang as lang;
 pub use mitos_sim as sim;
 pub use mitos_workloads as workloads;
 
+use mitos_baselines::DriverConfig;
 pub use mitos_core::rt::{EngineConfig, FaultPlan};
 pub use mitos_core::{FlowReport, MemReport, ObsLevel, ObsReport, Snapshot, StallReport};
 use mitos_fs::InMemoryFs;
@@ -81,42 +84,60 @@ use mitos_sim::SimConfig;
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// Which engine executes the program.
+/// Which system executes the program.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Engine {
-    /// Mitos: single cyclic dataflow, loop pipelining, hoisting.
+    /// Mitos: single cyclic dataflow, loop pipelining, hoisting. Its
+    /// ablations (Fig. 8, Fig. 9) are [`EngineConfig::with_hoisting`] and
+    /// [`EngineConfig::with_pipelining`]; where it runs is the [`Driver`].
     Mitos,
-    /// Mitos with loop pipelining disabled (Fig. 9 ablation).
-    MitosNoPipelining,
-    /// Mitos with loop-invariant hoisting disabled (Fig. 8 ablation).
-    MitosNoHoisting,
     /// Flink-style native iterations (supersteps + hoisting).
     FlinkNative,
     /// Flink submitting one job per iteration step.
     FlinkSeparateJobs,
     /// Spark-style driver loop (one job per action).
     Spark,
-    /// Mitos on real OS threads (one worker thread per machine) instead of
-    /// the simulator — no virtual timing, genuine concurrency.
-    MitosThreads,
     /// The sequential reference interpreter (no cluster, no timing).
     Reference,
+}
+
+impl Engine {
+    /// `Ok` on [`Engine::Mitos`]; otherwise the one error every Mitos-only
+    /// feature reports: "`what` requires a Mitos engine, not `self`".
+    pub fn require_mitos(self, what: &str) -> Result<(), Error> {
+        if self == Engine::Mitos {
+            return Ok(());
+        }
+        Err(Error {
+            message: format!("{what} requires a Mitos engine, not `{self}`"),
+            stall: None,
+        })
+    }
 }
 
 impl fmt::Display for Engine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let name = match self {
             Engine::Mitos => "Mitos",
-            Engine::MitosNoPipelining => "Mitos (not pipelined)",
-            Engine::MitosNoHoisting => "Mitos (wo. loop-invariant hoisting)",
             Engine::FlinkNative => "Flink (native iterations)",
             Engine::FlinkSeparateJobs => "Flink (separate jobs)",
             Engine::Spark => "Spark",
-            Engine::MitosThreads => "Mitos (threads)",
             Engine::Reference => "Reference interpreter",
         };
         write!(f, "{name}")
     }
+}
+
+/// Where [`Engine::Mitos`] runs. Every other engine runs on the simulator
+/// only.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub enum Driver {
+    /// The deterministic cluster simulator: virtual time.
+    #[default]
+    Sim,
+    /// Real OS threads, one worker thread per machine: wall-clock time,
+    /// genuine concurrency.
+    Threads,
 }
 
 /// The unified result of running a program on any engine.
@@ -126,25 +147,24 @@ pub struct Outcome {
     pub outputs: BTreeMap<String, Vec<Value>>,
     /// The execution path (sequence of basic blocks).
     pub path: Vec<BlockId>,
-    /// Execution time in nanoseconds: virtual time under the simulator,
-    /// measured wall-clock time under [`Engine::MitosThreads`], and 0 for
-    /// the reference interpreter (see [`mitos_core::NS_PER_MS`]).
-    pub virtual_ns: u64,
-    /// Per-operator statistics (Mitos engines only; empty otherwise).
+    /// Execution time in nanoseconds: virtual time under [`Driver::Sim`],
+    /// measured wall-clock time under [`Driver::Threads`], and 0 for the
+    /// reference interpreter (see [`mitos_core::NS_PER_MS`]).
+    pub elapsed_ns: u64,
+    /// Per-operator statistics (Mitos and Flink native only; empty
+    /// otherwise).
     pub op_stats: Vec<mitos_core::engine::OpStats>,
     /// Control-flow decisions broadcast by condition nodes (Mitos engines
     /// only; 0 otherwise).
     pub decisions: u64,
     /// Structured observability report — populated by the Mitos engines
-    /// when the run was requested with [`ObsLevel::Metrics`] or
-    /// [`ObsLevel::Trace`] (see [`Run::obs`]); `None` otherwise.
+    /// when the run's [`EngineConfig::obs`] is [`ObsLevel::Metrics`] or
+    /// [`ObsLevel::Trace`]; `None` otherwise.
     pub obs: Option<ObsReport>,
     /// Periodic live-telemetry snapshots — populated by the Mitos engines
-    /// when the run was requested with a non-zero
-    /// [`LiveOptions::sample_interval_ns`] (see [`Run::live`]);
-    /// empty otherwise. Deterministic (virtual-time sampled) under the
-    /// simulated engines, wall-clock sampled under
-    /// [`Engine::MitosThreads`].
+    /// when the run's [`EngineConfig::sample_interval_ns`] is non-zero;
+    /// empty otherwise. Deterministic (virtual-time sampled) under
+    /// [`Driver::Sim`], wall-clock sampled under [`Driver::Threads`].
     pub snapshots: Vec<Snapshot>,
     /// Always-on per-edge data-plane flow accounting (Mitos engines only;
     /// `None` for the baselines and the reference interpreter, which have
@@ -173,10 +193,35 @@ pub struct Outcome {
 }
 
 impl Outcome {
+    /// The outcome of an engine without a Mitos data plane: results, path
+    /// and time, with every Mitos-only counter and report empty.
+    fn baseline(
+        outputs: BTreeMap<String, Vec<Value>>,
+        path: Vec<BlockId>,
+        elapsed_ns: u64,
+        op_stats: Vec<mitos_core::engine::OpStats>,
+    ) -> Outcome {
+        Outcome {
+            outputs,
+            path,
+            elapsed_ns,
+            op_stats,
+            decisions: 0,
+            obs: None,
+            snapshots: Vec::new(),
+            flow: None,
+            data_messages: 0,
+            mem: None,
+            template_hits: 0,
+            template_misses: 0,
+            template_invalidations: 0,
+        }
+    }
+
     /// Execution time in milliseconds (virtual or wall-clock, matching
-    /// [`Outcome::virtual_ns`]).
+    /// [`Outcome::elapsed_ns`]).
     pub fn millis(&self) -> f64 {
-        self.virtual_ns as f64 / mitos_core::NS_PER_MS as f64
+        self.elapsed_ns as f64 / mitos_core::NS_PER_MS as f64
     }
 
     /// Renders the `EXPLAIN`-style per-operator report (see
@@ -202,7 +247,7 @@ impl Outcome {
     /// Fraction of template-cache lookups that hit:
     /// `hits / (hits + misses)`, or 0.0 when the cache saw no lookups
     /// (templates disabled, a non-Mitos engine, or a run that never
-    /// started a bag). Deterministic under the simulated engines — bag
+    /// started a bag). Deterministic under [`Driver::Sim`] — bag
     /// starts follow the execution path, not data timing.
     pub fn template_hit_rate(&self) -> f64 {
         let lookups = self.template_hits + self.template_misses;
@@ -233,7 +278,7 @@ impl Outcome {
     pub fn profile(&self) -> Option<mitos_core::Profile> {
         let obs = self.obs.as_ref()?;
         (obs.level == ObsLevel::Trace)
-            .then(|| mitos_core::build_profile(obs, &self.path, self.virtual_ns))
+            .then(|| mitos_core::build_profile(obs, &self.path, self.elapsed_ns))
     }
 
     /// Reconstructs the per-step causal span trees (decision broadcast →
@@ -327,36 +372,11 @@ pub fn compile(src: &str) -> Result<FuncIr, Error> {
     Ok(mitos_ir::compile_str(src)?)
 }
 
-/// Live-execution options for [`Run::live`]: telemetry sampling
-/// and the stall watchdog. The all-zero [`Default`] means "no sampling, no
-/// watchdog" and is accepted by every engine.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LiveOptions {
-    /// Telemetry sampling interval in nanoseconds (0 = no snapshots).
-    /// Virtual time under the simulated Mitos engines (deterministic,
-    /// charges zero virtual time), wall-clock under
-    /// [`Engine::MitosThreads`].
-    pub sample_interval_ns: u64,
-    /// Stall-watchdog deadline in nanoseconds (0 = off). Under
-    /// [`Engine::MitosThreads`], a worker making no progress for this long
-    /// aborts the run with an [`Error`] carrying a [`StallReport`]. The
-    /// simulated engines need no timer — a stall there surfaces as
-    /// quiescence-without-exit and is diagnosed the same way.
-    pub deadline_ns: u64,
-    /// Fault injection for watchdog tests: condition decisions are applied
-    /// locally but never broadcast, wedging every other worker. Shorthand
-    /// for [`FaultPlan::with_withhold_decisions`] on the run's
-    /// [`EngineConfig::faults`] plan (richer fault injection — message
-    /// drop/duplication/reordering, partitions — goes through
-    /// [`Run::config`] with [`EngineConfig::with_faults`]).
-    pub fault_withhold_decisions: bool,
-}
-
-/// A single execution of a compiled program, configured fluently: engine,
-/// cluster size, observability level, live telemetry, and engine tuning
-/// ([`EngineConfig`] — pipelining, hoisting, operator chain fusion, cost
-/// model) all hang off one builder, and [`Run::execute`] produces the
-/// unified [`Outcome`].
+/// A single execution of a compiled program, configured fluently: the
+/// [`Engine`], the [`Driver`] it runs on, the cluster size, and every Mitos
+/// knob — pipelining, hoisting, operator chain fusion, templates, cost
+/// model, observability, live telemetry, fault injection — in one
+/// [`EngineConfig`]. [`Run::execute`] produces the unified [`Outcome`].
 ///
 /// ```
 /// use mitos::{compile, Engine, EngineConfig, Run};
@@ -368,21 +388,20 @@ pub struct LiveOptions {
 /// let outcome = Run::new(&func)
 ///     .engine(Engine::Mitos)
 ///     .machines(2)
-///     .config(EngineConfig::new().with_fusion(false)) // e.g. ablate chain fusion
+///     .config(EngineConfig::new().with_pipelining(false)) // e.g. Fig. 9's ablation
 ///     .execute(&fs)
 ///     .unwrap();
 /// assert_eq!(outcome.outputs["s"], vec![Value::I64(12)]);
 /// ```
 ///
-/// Defaults: [`Engine::Mitos`], 4 machines, [`ObsLevel::Off`], no live
-/// telemetry, [`EngineConfig::default`] (pipelining, hoisting and fusion
-/// all on).
+/// Defaults: [`Engine::Mitos`] on [`Driver::Sim`], 4 machines,
+/// [`EngineConfig::default`] (pipelining, hoisting, fusion and templates
+/// on; observability, live telemetry and faults off).
 pub struct Run<'a> {
     func: &'a FuncIr,
     engine: Engine,
+    driver: Driver,
     cluster: SimConfig,
-    obs: Option<ObsLevel>,
-    live: Option<LiveOptions>,
     config: EngineConfig,
     on_snapshot: Option<&'a mut dyn FnMut(&Snapshot)>,
 }
@@ -393,9 +412,8 @@ impl<'a> Run<'a> {
         Run {
             func,
             engine: Engine::Mitos,
+            driver: Driver::Sim,
             cluster: SimConfig::with_machines(4),
-            obs: None,
-            live: None,
             config: EngineConfig::default(),
             on_snapshot: None,
         }
@@ -404,6 +422,14 @@ impl<'a> Run<'a> {
     /// Selects the executing engine (default [`Engine::Mitos`]).
     pub fn engine(mut self, engine: Engine) -> Self {
         self.engine = engine;
+        self
+    }
+
+    /// Selects the driver (default [`Driver::Sim`]). [`Driver::Threads`]
+    /// exists for [`Engine::Mitos`] only; [`Run::execute`] fails on any
+    /// other engine.
+    pub fn driver(mut self, driver: Driver) -> Self {
+        self.driver = driver;
         self
     }
 
@@ -420,75 +446,20 @@ impl<'a> Run<'a> {
         self
     }
 
-    /// Collects structured observability data at the requested
-    /// [`ObsLevel`] (Mitos engines only — the baselines and the reference
-    /// interpreter ignore this and return `Outcome::obs = None`).
-    /// Recording never charges virtual time, so simulated results are
-    /// bit-identical at every level.
-    pub fn obs(mut self, obs: ObsLevel) -> Self {
-        self.obs = Some(obs);
-        self
-    }
-
-    /// Streams live telemetry: with a non-zero
-    /// [`LiveOptions::sample_interval_ns`] periodic [`Snapshot`]s are
-    /// collected into [`Outcome::snapshots`] (and fed to
-    /// [`Run::on_snapshot`], if set); with a non-zero
-    /// [`LiveOptions::deadline_ns`] the stall watchdog arms. Live
-    /// telemetry exists only on the Mitos engines: any non-default option
-    /// on a baseline or the reference interpreter makes [`Run::execute`]
-    /// fail.
-    pub fn live(mut self, live: LiveOptions) -> Self {
-        self.live = Some(live);
-        self
-    }
-
     /// Invokes `f` on each periodic [`Snapshot`] while the job runs
-    /// (requires a sampling interval via [`Run::live`]).
+    /// (requires [`EngineConfig::with_sample_interval_ns`]).
     pub fn on_snapshot(mut self, f: &'a mut dyn FnMut(&Snapshot)) -> Self {
         self.on_snapshot = Some(f);
         self
     }
 
-    /// Supplies the base [`EngineConfig`] (cost model, pipelining,
-    /// hoisting, operator chain fusion, …). Settings made through the
-    /// other builder methods — [`Run::obs`], [`Run::live`] — and the
-    /// ablation engines ([`Engine::MitosNoPipelining`],
-    /// [`Engine::MitosNoHoisting`]) are applied on top of it.
+    /// Supplies the [`EngineConfig`]. The cost model applies to every
+    /// engine; observability is recorded by Mitos only (the others return
+    /// `Outcome::obs = None`). Live telemetry and fault injection exist on
+    /// Mitos only: [`Run::execute`] fails if either is set for another
+    /// engine.
     pub fn config(mut self, config: EngineConfig) -> Self {
         self.config = config;
-        self
-    }
-
-    /// Installs a deterministic fault-injection plan ([`FaultPlan`]) on the
-    /// run's [`EngineConfig`]. Mitos engines only: the baselines and the
-    /// reference interpreter reject an active plan (they model fault-free
-    /// execution), and [`Run::execute`] fails accordingly.
-    pub fn faults(mut self, faults: FaultPlan) -> Self {
-        self.config.faults = faults;
-        self
-    }
-
-    /// Sets the maximum elements per data-plane batch, clamped to at
-    /// least one, on the run's [`EngineConfig`] — the tuning knob for
-    /// trading per-message overhead against pipelining granularity,
-    /// without constructing a whole cost model. Results are identical at
-    /// every setting; only message counts, wire bytes, and timing shift.
-    pub fn batch_elems(mut self, elems: usize) -> Self {
-        self.config = self.config.with_batch_elems(elems);
-        self
-    }
-
-    /// Enables or disables the control-plane template cache on the run's
-    /// [`EngineConfig`] (shorthand for [`EngineConfig::with_templates`];
-    /// on by default). Templates cache per-step coordination decisions
-    /// keyed by the execution-path suffix and replay them on repeat
-    /// traversals — results, execution paths, and telemetry are
-    /// bit-identical either way; only the [`Outcome::template_hits`] /
-    /// [`Outcome::template_misses`] / [`Outcome::template_invalidations`]
-    /// counters (and wall-clock coordination cost) change.
-    pub fn templates(mut self, on: bool) -> Self {
-        self.config = self.config.with_templates(on);
         self
     }
 
@@ -497,82 +468,43 @@ impl<'a> Run<'a> {
         let Run {
             func,
             engine,
+            driver,
             cluster,
-            obs,
-            live,
             config,
             on_snapshot,
         } = self;
-        // The effective live options: the builder's, or whatever the base
-        // config already carries.
-        let live = live.unwrap_or(LiveOptions {
-            sample_interval_ns: config.sample_interval_ns,
-            deadline_ns: config.stall_deadline_ns,
-            fault_withhold_decisions: config.faults.withhold_decisions,
-        });
-        if live != LiveOptions::default()
-            && !matches!(
-                engine,
-                Engine::Mitos
-                    | Engine::MitosNoPipelining
-                    | Engine::MitosNoHoisting
-                    | Engine::MitosThreads
-            )
-        {
-            return Err(Error {
-                message: format!(
-                    "live telemetry (sampling / stall watchdog) requires a Mitos engine \
-                     (mitos|mitos-nopipe|mitos-nohoist|threads), not `{engine}`"
-                ),
-                stall: None,
-            });
-        }
-        if config.faults.is_active()
-            && !matches!(
-                engine,
-                Engine::Mitos
-                    | Engine::MitosNoPipelining
-                    | Engine::MitosNoHoisting
-                    | Engine::MitosThreads
-            )
-        {
-            return Err(Error {
-                message: format!(
-                    "fault injection (--fault-* / EngineConfig::faults) requires a Mitos \
-                     engine (mitos|mitos-nopipe|mitos-nohoist|threads), not `{engine}` — \
-                     the baselines and the reference interpreter run fault-free only"
-                ),
-                stall: None,
-            });
-        }
-        let mut noop = |_: &Snapshot| {};
-        let on_snapshot = on_snapshot.unwrap_or(&mut noop);
-        let mitos_config = || {
-            let mut cfg = config
-                .clone()
-                .with_sample_interval_ns(live.sample_interval_ns)
-                .with_stall_deadline_ns(live.deadline_ns);
-            cfg.faults.withhold_decisions = live.fault_withhold_decisions;
-            if let Some(obs) = obs {
-                cfg = cfg.with_obs(obs);
-            }
-            // The ablation engines force their switch off; plain Mitos
-            // respects the base config.
-            if engine == Engine::MitosNoPipelining {
-                cfg = cfg.with_pipelining(false);
-            }
-            if engine == Engine::MitosNoHoisting {
-                cfg = cfg.with_hoisting(false);
-            }
-            cfg
+        let mitos_only = if driver != Driver::Sim {
+            Some("the thread driver")
+        } else if config.sample_interval_ns != 0 || config.stall_deadline_ns != 0 {
+            Some("live telemetry (sampling / stall watchdog)")
+        } else if config.faults.is_active() {
+            Some("fault injection")
+        } else {
+            None
         };
-        match engine {
-            Engine::Mitos | Engine::MitosNoPipelining | Engine::MitosNoHoisting => {
-                let r = mitos_core::run_sim_live(func, fs, mitos_config(), cluster, on_snapshot)?;
-                Ok(Outcome {
+        if let Some(what) = mitos_only {
+            engine.require_mitos(what)?;
+        }
+        let outcome = match engine {
+            Engine::Mitos => {
+                let mut noop = |_: &Snapshot| {};
+                let on_snapshot = on_snapshot.unwrap_or(&mut noop);
+                let r = match driver {
+                    Driver::Sim => {
+                        mitos_core::run_sim_live(func, fs, config, cluster, on_snapshot)?
+                    }
+                    Driver::Threads => mitos_core::run_threads_live(
+                        func,
+                        fs,
+                        config,
+                        cluster.machines,
+                        on_snapshot,
+                    )?,
+                };
+                Outcome {
                     outputs: r.outputs,
                     path: r.path,
-                    virtual_ns: r.sim.end_time,
+                    elapsed_ns: r.sim.end_time,
                     op_stats: r.op_stats,
                     decisions: r.decisions,
                     obs: r.obs,
@@ -583,91 +515,24 @@ impl<'a> Run<'a> {
                     template_hits: r.template_hits,
                     template_misses: r.template_misses,
                     template_invalidations: r.template_invalidations,
-                })
+                }
             }
             Engine::FlinkNative => {
-                let r = mitos_baselines::run_flink_native(func, fs, cluster)?;
-                Ok(Outcome {
-                    outputs: r.outputs,
-                    path: r.path,
-                    virtual_ns: r.sim.end_time,
-                    op_stats: r.op_stats,
-                    decisions: 0,
-                    obs: None,
-                    snapshots: Vec::new(),
-                    flow: None,
-                    data_messages: 0,
-                    mem: None,
-                    template_hits: 0,
-                    template_misses: 0,
-                    template_invalidations: 0,
-                })
+                let r = mitos_baselines::run_flink_native_with(func, fs, cluster, config.cost)?;
+                Outcome::baseline(r.outputs, r.path, r.sim.end_time, r.op_stats)
             }
-            Engine::FlinkSeparateJobs => {
-                let r = mitos_baselines::run_flink_separate_jobs(func, fs, cluster)?;
-                Ok(Outcome {
-                    outputs: r.outputs,
-                    path: r.path,
-                    virtual_ns: r.sim.end_time,
-                    op_stats: Vec::new(),
-                    decisions: 0,
-                    obs: None,
-                    snapshots: Vec::new(),
-                    flow: None,
-                    data_messages: 0,
-                    mem: None,
-                    template_hits: 0,
-                    template_misses: 0,
-                    template_invalidations: 0,
-                })
-            }
-            Engine::Spark => {
-                let r = mitos_baselines::run_driver_loop(
-                    func,
-                    fs,
-                    mitos_baselines::DriverConfig::default(),
-                    cluster,
-                )?;
-                Ok(Outcome {
-                    outputs: r.outputs,
-                    path: r.path,
-                    virtual_ns: r.sim.end_time,
-                    op_stats: Vec::new(),
-                    decisions: 0,
-                    obs: None,
-                    snapshots: Vec::new(),
-                    flow: None,
-                    data_messages: 0,
-                    mem: None,
-                    template_hits: 0,
-                    template_misses: 0,
-                    template_invalidations: 0,
-                })
-            }
-            Engine::MitosThreads => {
-                let r = mitos_core::run_threads_live(
-                    func,
-                    fs,
-                    mitos_config(),
-                    cluster.machines,
-                    on_snapshot,
-                )?;
-                Ok(Outcome {
-                    outputs: r.outputs,
-                    path: r.path,
-                    // Wall-clock ns, measured by the driver's single epoch.
-                    virtual_ns: r.sim.end_time,
-                    op_stats: r.op_stats,
-                    decisions: r.decisions,
-                    obs: r.obs,
-                    snapshots: r.snapshots,
-                    flow: Some(r.flow),
-                    data_messages: r.data_messages,
-                    mem: Some(r.mem),
-                    template_hits: r.template_hits,
-                    template_misses: r.template_misses,
-                    template_invalidations: r.template_invalidations,
-                })
+            Engine::FlinkSeparateJobs | Engine::Spark => {
+                let base = if engine == Engine::Spark {
+                    DriverConfig::default()
+                } else {
+                    mitos_baselines::flink_driver_config()
+                };
+                let driver_config = DriverConfig {
+                    cost: config.cost,
+                    ..base
+                };
+                let r = mitos_baselines::run_driver_loop(func, fs, driver_config, cluster)?;
+                Outcome::baseline(r.outputs, r.path, r.sim.end_time, Vec::new())
             }
             Engine::Reference => {
                 let r = mitos_ir::interpret(func, fs, mitos_ir::InterpConfig::default()).map_err(
@@ -676,23 +541,10 @@ impl<'a> Run<'a> {
                         stall: None,
                     },
                 )?;
-                Ok(Outcome {
-                    outputs: r.canonical_outputs(),
-                    path: r.path,
-                    virtual_ns: 0,
-                    op_stats: Vec::new(),
-                    decisions: 0,
-                    obs: None,
-                    snapshots: Vec::new(),
-                    flow: None,
-                    data_messages: 0,
-                    mem: None,
-                    template_hits: 0,
-                    template_misses: 0,
-                    template_invalidations: 0,
-                })
+                Outcome::baseline(r.canonical_outputs(), r.path, 0, Vec::new())
             }
-        }
+        };
+        Ok(outcome)
     }
 }
 

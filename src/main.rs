@@ -1,7 +1,7 @@
 //! `mitos` — command-line runner for Mitos programs.
 //!
 //! ```sh
-//! mitos run program.mt --machines 8 --engine mitos \
+//! mitos run program.mt --machines 8 --engine mitos --driver threads \
 //!       --input numbers=data.txt --output-dir out/
 //! mitos ssa program.mt          # print the SSA intermediate representation
 //! mitos check program.mt       # compile + report Flink expressibility
@@ -14,28 +14,34 @@
 use mitos::fs::InMemoryFs;
 use mitos::lang::Value;
 use mitos::sim::SimConfig;
-use mitos::{baselines, compile, ir, Engine, EngineConfig, LiveOptions, ObsLevel, Run};
+use mitos::{baselines, compile, ir, Driver, Engine, EngineConfig, ObsLevel, Run};
 use std::process::ExitCode;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  mitos run <program> [--machines N] [--engine mitos|mitos-nopipe|\
-         mitos-nohoist|flink|flink-jobs|spark|threads|reference]\n             \
-         [--input name=path]... [--output-dir dir]\n             \
+        "usage:\n  mitos run <program> [--machines N] [--engine mitos|flink|flink-jobs|spark|reference]\n             \
+         [--driver sim|threads] [--input name=path]... [--output-dir dir]\n             \
          [--explain] [--trace out.json] [--metrics-out out.prom] [--no-fuse]\n             \
-         [--no-templates] [--progress] [--watch] [--interval MS] [--deadline MS]\n             \
+         [--no-templates] [--no-pipeline] [--no-hoist]\n             \
+         [--progress] [--watch] [--interval MS] [--deadline MS]\n             \
          [--fault-drop P] [--fault-dup P] [--fault-reorder P]\n             \
-         [--fault-partition A:B:FROM_MS:UNTIL_MS]... [--fault-seed N] [--fault-no-retransmit]\n          \
+         [--fault-partition A:B:FROM_MS:UNTIL_MS]... [--fault-seed N] [--fault-no-retransmit]\n             \
+         [--fault-withhold-decisions]\n          \
+         # --driver: Mitos on the simulator (virtual time, default) or on one\n          \
+         #   OS thread per machine (wall-clock time); Mitos only\n          \
          # --progress: one live status line per interval (stderr)\n          \
          # --watch: live per-operator table per interval (stderr)\n          \
          # --deadline: stall watchdog; no progress for MS ms aborts with exit 2\n          \
          # --no-fuse: disable operator chain fusion in the physical planner\n          \
-         # --no-templates: disable the control-plane template cache (results\n          \
-         #   are bit-identical either way; Mitos engines only)\n          \
-         # --fault-*: seeded deterministic fault injection (Mitos engines only);\n          \
+         # --no-templates / --no-pipeline / --no-hoist: disable the control-plane\n          \
+         #   template cache, loop pipelining (Fig. 9) or loop-invariant hoisting\n          \
+         #   (Fig. 8); results are identical either way; Mitos only\n          \
+         # --fault-*: seeded deterministic fault injection (Mitos only);\n          \
          #   drop/dup/reorder are per-message probabilities in [0,1]; recovery runs\n          \
          #   an at-least-once retransmission protocol unless --fault-no-retransmit,\n          \
-         #   in which case an unrecoverable stall exits 2 naming the faults\n  \
+         #   in which case an unrecoverable stall exits 2 naming the faults;\n          \
+         #   --fault-withhold-decisions never broadcasts a loop decision\n          \
+         #   (with --deadline: exercises the stall watchdog)\n  \
          # --metrics-out: per-step control-plane phase latency histograms\n          \
          #   (broadcast/assembly/execute/send-resolve) in Prometheus text format\n  \
          mitos explain <program> [run options] [--json] [--dot out.dot]\n          \
@@ -119,7 +125,7 @@ fn json_str(s: &str) -> String {
 /// plane).
 fn explain_json(
     outcome: &mitos::Outcome,
-    engine: Engine,
+    label: &str,
     machines: u16,
     func: &ir::FuncIr,
     engine_cfg: &EngineConfig,
@@ -132,7 +138,7 @@ fn explain_json(
          \"path_blocks\":{},\"decisions\":{},\"hoist_hits\":{},\
          \"data_messages\":{},\"template_hits\":{},\"template_misses\":{},\
          \"template_invalidations\":{},\"template_hit_rate\":{:.6},",
-        json_str(&engine.to_string()),
+        json_str(label),
         outcome.millis(),
         outcome.path.len(),
         outcome.decisions,
@@ -375,6 +381,7 @@ fn main() -> ExitCode {
             let report_cmd = explain_cmd || flow_cmd || mem_cmd || profile_cmd || tracetree_cmd;
             let mut machines: u16 = 4;
             let mut engine = Engine::Mitos;
+            let mut driver = Driver::Sim;
             let mut inputs: Vec<(String, String)> = Vec::new();
             let mut output_dir: Option<String> = None;
             let mut explain = explain_cmd;
@@ -386,6 +393,8 @@ fn main() -> ExitCode {
             let mut combiners = false;
             let mut no_fuse = false;
             let mut no_templates = false;
+            let mut no_pipeline = false;
+            let mut no_hoist = false;
             let mut progress = false;
             let mut watch = false;
             let mut interval_ms: u64 = 200;
@@ -396,6 +405,7 @@ fn main() -> ExitCode {
             let mut fault_partitions: Vec<(u16, u16, u64, u64)> = Vec::new();
             let mut fault_seed: Option<u64> = None;
             let mut fault_no_retransmit = false;
+            let mut fault_withhold_decisions = false;
             let mut fault_flags = false;
             let mut i = 2;
             while i < args.len() {
@@ -411,13 +421,18 @@ fn main() -> ExitCode {
                         i += 1;
                         engine = match args.get(i).map(String::as_str) {
                             Some("mitos") => Engine::Mitos,
-                            Some("mitos-nopipe") => Engine::MitosNoPipelining,
-                            Some("mitos-nohoist") => Engine::MitosNoHoisting,
                             Some("flink") => Engine::FlinkNative,
                             Some("flink-jobs") => Engine::FlinkSeparateJobs,
                             Some("spark") => Engine::Spark,
-                            Some("threads") => Engine::MitosThreads,
                             Some("reference") => Engine::Reference,
+                            _ => usage(),
+                        };
+                    }
+                    "--driver" => {
+                        i += 1;
+                        driver = match args.get(i).map(String::as_str) {
+                            Some("sim") => Driver::Sim,
+                            Some("threads") => Driver::Threads,
                             _ => usage(),
                         };
                     }
@@ -466,6 +481,8 @@ fn main() -> ExitCode {
                     "--combiners" => combiners = true,
                     "--no-fuse" => no_fuse = true,
                     "--no-templates" => no_templates = true,
+                    "--no-pipeline" => no_pipeline = true,
+                    "--no-hoist" => no_hoist = true,
                     "--progress" => progress = true,
                     "--watch" => watch = true,
                     "--interval" => {
@@ -542,6 +559,10 @@ fn main() -> ExitCode {
                         fault_no_retransmit = true;
                         fault_flags = true;
                     }
+                    "--fault-withhold-decisions" => {
+                        fault_withhold_decisions = true;
+                        fault_flags = true;
+                    }
                     _ => usage(),
                 }
                 i += 1;
@@ -557,64 +578,36 @@ fn main() -> ExitCode {
                 } else {
                     ObsLevel::Off
                 };
-            // The event stream exists only on the Mitos engines; asking
-            // for it anywhere else is a contradiction, not a warning.
-            let obs_capable = matches!(
-                engine,
-                Engine::Mitos
-                    | Engine::MitosNoPipelining
-                    | Engine::MitosNoHoisting
-                    | Engine::MitosThreads
-            );
-            let live_requested = progress || watch || deadline_ms.is_some();
-            // Every report subcommand reads Mitos-only instrumentation, so
-            // they share one engine gate with one exit code.
-            if (report_cmd
-                || trace_path.is_some()
-                || metrics_out.is_some()
-                || live_requested
-                || no_templates)
-                && !obs_capable
-            {
-                let what = if explain_cmd {
-                    "`mitos explain`"
-                } else if flow_cmd {
-                    "`mitos flow`"
-                } else if mem_cmd {
-                    "`mitos mem`"
-                } else if profile_cmd {
-                    "`mitos profile`"
-                } else if tracetree_cmd {
-                    "`mitos trace-tree`"
-                } else if trace_path.is_some() {
-                    "--trace"
-                } else if metrics_out.is_some() {
-                    "--metrics-out"
-                } else if live_requested {
-                    "--progress/--watch/--deadline"
-                } else {
-                    "--no-templates"
-                };
-                eprintln!(
-                    "error: {what} requires a Mitos engine \
-                     (mitos|mitos-nopipe|mitos-nohoist|threads), not `{engine}`"
-                );
-                return ExitCode::from(2);
-            }
-            // Fault injection exists only where the recovery protocol does.
-            if fault_flags && !obs_capable {
-                eprintln!(
-                    "error: --fault-* requires a Mitos engine \
-                     (mitos|mitos-nopipe|mitos-nohoist|threads), not `{engine}` — \
-                     the baselines and the reference interpreter run fault-free only"
-                );
-                return ExitCode::from(2);
+            // Reports, traces, live telemetry, Mitos knobs, the thread
+            // driver and fault injection all exist only on Mitos; asking for
+            // one elsewhere is a contradiction, not a warning.
+            let report_what = format!("`mitos {command}`");
+            let mitos_only = [
+                (report_cmd, report_what.as_str()),
+                (trace_path.is_some(), "--trace"),
+                (metrics_out.is_some(), "--metrics-out"),
+                (
+                    progress || watch || deadline_ms.is_some(),
+                    "--progress/--watch/--deadline",
+                ),
+                (no_templates, "--no-templates"),
+                (no_pipeline, "--no-pipeline"),
+                (no_hoist, "--no-hoist"),
+                (driver == Driver::Threads, "--driver threads"),
+                (fault_flags, "--fault-*"),
+            ];
+            if let Some(&(_, what)) = mitos_only.iter().find(|(on, _)| *on) {
+                if let Err(e) = engine.require_mitos(what) {
+                    eprintln!("error: {e}");
+                    return ExitCode::from(2);
+                }
             }
             let mut faults = mitos::FaultPlan::new()
                 .with_drop(fault_drop)
                 .with_duplicate(fault_dup)
                 .with_reorder(fault_reorder)
-                .with_retransmit(!fault_no_retransmit);
+                .with_retransmit(!fault_no_retransmit)
+                .with_withhold_decisions(fault_withhold_decisions);
             if let Some(seed) = fault_seed {
                 faults = faults.with_seed(seed);
             }
@@ -650,21 +643,15 @@ fn main() -> ExitCode {
             } else {
                 func
             };
-            let live = LiveOptions {
-                sample_interval_ns: if progress || watch {
-                    interval_ms.saturating_mul(1_000_000)
-                } else {
-                    0
-                },
-                deadline_ns: deadline_ms.map_or(0, |ms| ms.saturating_mul(1_000_000)),
-                // Undocumented fault-injection hook so the stall watchdog
-                // can be exercised end to end (tests/cli.rs).
-                fault_withhold_decisions: std::env::var("MITOS_FAULT_WITHHOLD_DECISIONS")
-                    .is_ok_and(|v| v == "1"),
-            };
+            let sample_ms = if progress || watch { interval_ms } else { 0 };
             let engine_cfg = EngineConfig::new()
                 .with_fusion(!no_fuse)
                 .with_templates(!no_templates)
+                .with_pipelining(!no_pipeline)
+                .with_hoisting(!no_hoist)
+                .with_obs(obs)
+                .with_sample_interval_ns(sample_ms.saturating_mul(1_000_000))
+                .with_stall_deadline_ns(deadline_ms.map_or(0, |ms| ms.saturating_mul(1_000_000)))
                 .with_faults(faults);
             // The watch table indexes operators by id, so it must see the
             // plan the engine actually runs (post-fusion).
@@ -681,12 +668,15 @@ fn main() -> ExitCode {
                     eprintln!("{}", mitos::core::progress_line(s));
                 }
             };
+            let label = match driver {
+                Driver::Sim => engine.to_string(),
+                Driver::Threads => "Mitos (threads)".to_string(),
+            };
             let start = std::time::Instant::now();
             match Run::new(&func)
                 .engine(engine)
+                .driver(driver)
                 .cluster(SimConfig::with_machines(machines))
-                .obs(obs)
-                .live(live)
                 .on_snapshot(&mut on_snapshot)
                 .config(engine_cfg.clone())
                 .execute(&fs)
@@ -719,7 +709,7 @@ fn main() -> ExitCode {
                         if explain_cmd && report.json {
                             println!(
                                 "{}",
-                                explain_json(&outcome, engine, machines, &func, &engine_cfg)
+                                explain_json(&outcome, &label, machines, &func, &engine_cfg)
                             );
                         } else if explain_cmd {
                             print!("{}{}{}", outcome.explain(), flow_rows, mem_rows);
@@ -809,23 +799,20 @@ fn main() -> ExitCode {
                         return ExitCode::SUCCESS;
                     }
                     if let Some(path) = &trace_path {
-                        match outcome.chrome_trace() {
-                            Some(json) => {
-                                if let Err(e) = std::fs::write(path, json) {
-                                    eprintln!("error: cannot write trace {path}: {e}");
-                                    return ExitCode::FAILURE;
-                                }
-                                eprintln!(
-                                    "wrote Chrome trace {path} ({} events) — open in \
-                                     chrome://tracing or https://ui.perfetto.dev",
-                                    outcome.obs.as_ref().map_or(0, |o| o.events.len())
-                                );
-                            }
-                            None => eprintln!(
-                                "warning: --trace requires a Mitos engine \
-                                 (mitos/mitos-nopipe/mitos-nohoist/threads); no trace written"
-                            ),
+                        // The engine gate above makes a trace an invariant
+                        // here, not a user error.
+                        let json = outcome
+                            .chrome_trace()
+                            .expect("Mitos runs at Trace record events");
+                        if let Err(e) = std::fs::write(path, json) {
+                            eprintln!("error: cannot write trace {path}: {e}");
+                            return ExitCode::FAILURE;
                         }
+                        eprintln!(
+                            "wrote Chrome trace {path} ({} events) — open in \
+                             chrome://tracing or https://ui.perfetto.dev",
+                            outcome.obs.as_ref().map_or(0, |o| o.events.len())
+                        );
                     }
                     if let Some(path) = &metrics_out {
                         let Some(histos) = outcome.phase_histograms() else {
@@ -1007,13 +994,13 @@ fn main() -> ExitCode {
                             }
                         }
                     }
-                    let clock = if engine == Engine::MitosThreads {
+                    let clock = if driver == Driver::Threads {
                         "measured"
                     } else {
                         "virtual"
                     };
                     eprintln!(
-                        "[{engine}] {} machines, {:.2} {clock} ms, {:.0} ms wall",
+                        "[{label}] {} machines, {:.2} {clock} ms, {:.0} ms wall",
                         machines,
                         outcome.millis(),
                         start.elapsed().as_secs_f64() * 1000.0

@@ -64,24 +64,25 @@ fn engines_agree_via_cli() {
         "visits2.txt",
         &(0..40).map(|i| format!("{i}\n")).collect::<String>(),
     );
-    let run = |engine: &str| -> String {
-        let output = mitos()
-            .args([
-                "run",
-                program.to_str().unwrap(),
-                "--engine",
-                engine,
-                "--input",
-                &format!("visits={}", data.display()),
-            ])
-            .output()
-            .unwrap();
-        assert!(output.status.success(), "{engine}: {output:?}");
+    let input = format!("visits={}", data.display());
+    let run = |flags: &[&str]| -> String {
+        let mut args = vec!["run", program.to_str().unwrap(), "--input", &input];
+        args.extend_from_slice(flags);
+        let output = mitos().args(&args).output().unwrap();
+        assert!(output.status.success(), "{flags:?}: {output:?}");
         String::from_utf8_lossy(&output.stdout).to_string()
     };
-    let reference = run("reference");
-    for engine in ["mitos", "mitos-nopipe", "spark", "flink-jobs", "threads"] {
-        assert_eq!(run(engine), reference, "{engine}");
+    let reference = run(&["--engine", "reference"]);
+    let flag_sets: [&[&str]; 6] = [
+        &["--engine", "mitos"],
+        &["--no-pipeline"],
+        &["--no-hoist"],
+        &["--driver", "threads"],
+        &["--engine", "spark"],
+        &["--engine", "flink-jobs"],
+    ];
+    for flags in flag_sets {
+        assert_eq!(run(flags), reference, "{flags:?}");
     }
 }
 
@@ -133,7 +134,15 @@ fn compile_errors_are_rendered_with_position() {
 #[test]
 fn live_flags_require_a_mitos_engine() {
     let program = write_temp("prog6.mt", PROGRAM);
-    let flag_sets: [&[&str]; 3] = [&["--progress"], &["--watch"], &["--deadline", "100"]];
+    // The Mitos-only knobs and the thread driver refuse the same way.
+    let flag_sets: [&[&str]; 6] = [
+        &["--progress"],
+        &["--watch"],
+        &["--deadline", "100"],
+        &["--no-pipeline"],
+        &["--no-hoist"],
+        &["--driver", "threads"],
+    ];
     for flags in flag_sets {
         let mut args = vec!["run", program.to_str().unwrap(), "--engine", "spark"];
         args.extend_from_slice(flags);
@@ -175,11 +184,11 @@ fn withheld_decisions_trip_watchdog_and_exit_2() {
         &(0..30).map(|i| format!("{i}\n")).collect::<String>(),
     );
     let output = mitos()
-        .env("MITOS_FAULT_WITHHOLD_DECISIONS", "1")
         .args([
             "run",
             program.to_str().unwrap(),
-            "--engine",
+            "--fault-withhold-decisions",
+            "--driver",
             "threads",
             "--machines",
             "2",
@@ -337,24 +346,24 @@ fn flow_reports_per_edge_traffic() {
         &(0..30).map(|i| format!("{i}\n")).collect::<String>(),
     );
     let input = format!("visits={}", data.display());
-    for engine in ["mitos", "threads"] {
+    for driver in ["sim", "threads"] {
         let output = mitos()
             .args([
                 "flow",
                 program.to_str().unwrap(),
                 "--input",
                 &input,
-                "--engine",
-                engine,
+                "--driver",
+                driver,
             ])
             .output()
             .unwrap();
-        assert!(output.status.success(), "{engine}: {output:?}");
+        assert!(output.status.success(), "{driver}: {output:?}");
         let text = String::from_utf8_lossy(&output.stdout);
-        assert!(text.contains("top edges by bytes"), "{engine}: {text}");
-        assert!(text.contains("counts"), "{engine}: {text}");
-        assert!(text.contains("per-machine"), "{engine}: {text}");
-        assert!(text.contains("data messages"), "{engine}: {text}");
+        assert!(text.contains("top edges by bytes"), "{driver}: {text}");
+        assert!(text.contains("counts"), "{driver}: {text}");
+        assert!(text.contains("per-machine"), "{driver}: {text}");
+        assert!(text.contains("data messages"), "{driver}: {text}");
     }
 }
 
@@ -473,29 +482,29 @@ fn mem_reports_residency_and_leak_freedom() {
         &(0..30).map(|i| format!("{i}\n")).collect::<String>(),
     );
     let input = format!("visits={}", data.display());
-    for engine in ["mitos", "threads"] {
+    for driver in ["sim", "threads"] {
         let output = mitos()
             .args([
                 "mem",
                 program.to_str().unwrap(),
                 "--input",
                 &input,
-                "--engine",
-                engine,
+                "--driver",
+                driver,
             ])
             .output()
             .unwrap();
-        assert!(output.status.success(), "{engine}: {output:?}");
+        assert!(output.status.success(), "{driver}: {output:?}");
         let text = String::from_utf8_lossy(&output.stdout);
         assert!(
             text.contains("state residency by class"),
-            "{engine}: {text}"
+            "{driver}: {text}"
         );
-        assert!(text.contains("awaiting-inputs"), "{engine}: {text}");
-        assert!(text.contains("per-machine"), "{engine}: {text}");
+        assert!(text.contains("awaiting-inputs"), "{driver}: {text}");
+        assert!(text.contains("per-machine"), "{driver}: {text}");
         // The leak detector: a fault-free run retains nothing outside
         // deliberate caches once the exit sweep has run.
-        assert!(text.contains("leak-free"), "{engine}: {text}");
+        assert!(text.contains("leak-free"), "{driver}: {text}");
     }
 }
 

@@ -7,16 +7,29 @@ use mitos::lang::Value;
 use mitos::workloads::{
     generate_page_types, generate_visit_logs, visit_count_program, VisitCountSpec,
 };
-use mitos::{compile, Engine, Run};
+use mitos::{compile, Driver, Engine, EngineConfig, Run};
 
-const ALL_ENGINES: [Engine; 6] = [
-    Engine::Mitos,
-    Engine::MitosNoPipelining,
-    Engine::MitosNoHoisting,
-    Engine::FlinkNative,
-    Engine::FlinkSeparateJobs,
-    Engine::Spark,
-];
+/// The three baselines, and Mitos with all optimizations, without loop
+/// pipelining (Fig. 9) and without loop-invariant hoisting (Fig. 8).
+fn all_engines() -> [(Engine, EngineConfig); 6] {
+    let on = EngineConfig::new();
+    [
+        (Engine::Mitos, on.clone()),
+        (Engine::Mitos, on.clone().with_pipelining(false)),
+        (Engine::Mitos, on.clone().with_hoisting(false)),
+        (Engine::FlinkNative, on.clone()),
+        (Engine::FlinkSeparateJobs, on.clone()),
+        (Engine::Spark, on),
+    ]
+}
+
+/// Names one entry of [`all_engines`] in assertion messages.
+fn label(engine: Engine, config: &EngineConfig) -> String {
+    format!(
+        "{engine} (pipelined={}, hoisting={})",
+        config.pipelined, config.hoisting
+    )
+}
 
 /// Runs `src` on every engine and asserts agreement with the reference.
 fn check_all(src: &str, machines: u16, setup: &dyn Fn(&InMemoryFs)) {
@@ -28,18 +41,20 @@ fn check_all(src: &str, machines: u16, setup: &dyn Fn(&InMemoryFs)) {
         .machines(1)
         .execute(&ref_fs)
         .expect("reference");
-    for engine in ALL_ENGINES {
+    for (engine, config) in all_engines() {
+        let what = label(engine, &config);
         let fs = InMemoryFs::new();
         setup(&fs);
         let outcome = Run::new(&func)
             .engine(engine)
             .machines(machines)
+            .config(config)
             .execute(&fs)
-            .unwrap_or_else(|e| panic!("{engine}: {e}"));
-        assert_eq!(outcome.outputs, reference.outputs, "outputs of {engine}");
-        assert_eq!(outcome.path, reference.path, "path of {engine}");
-        assert_eq!(fs.snapshot(), ref_fs.snapshot(), "files of {engine}");
-        assert!(outcome.virtual_ns > 0, "{engine} must take virtual time");
+            .unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert_eq!(outcome.outputs, reference.outputs, "outputs of {what}");
+        assert_eq!(outcome.path, reference.path, "path of {what}");
+        assert_eq!(fs.snapshot(), ref_fs.snapshot(), "files of {what}");
+        assert!(outcome.elapsed_ns > 0, "{what} must take virtual time");
     }
 }
 
@@ -189,19 +204,20 @@ fn heterogeneous_bag_takes_the_row_fallback_through_the_engine() {
         3 => Value::tuple([Value::I64(i), Value::F64(0.5), Value::Bool(true)]),
         _ => Value::list([Value::I64(i % 2), Value::Unit]),
     });
-    let run = |engine: Engine| {
+    let run = |engine: Engine, driver: Driver| {
         let fs = InMemoryFs::new();
         fs.put("mixed", mixed.clone().collect());
-        let job = Run::new(&func).engine(engine).machines(3);
-        job.execute(&fs).unwrap_or_else(|e| panic!("{engine}: {e}"))
+        let job = Run::new(&func).engine(engine).driver(driver).machines(3);
+        job.execute(&fs)
+            .unwrap_or_else(|e| panic!("{engine} {driver:?}: {e}"))
     };
     // `Engine::Reference` is `mitos_ir::interpret` with sorted outputs.
-    let reference = run(Engine::Reference);
+    let reference = run(Engine::Reference, Driver::Sim);
     assert_eq!(reference.outputs["kept"].len(), 18);
-    for engine in [Engine::Mitos, Engine::MitosThreads] {
-        let outcome = run(engine);
-        assert_eq!(outcome.outputs, reference.outputs, "outputs of {engine}");
-        assert_eq!(outcome.path, reference.path, "path of {engine}");
+    for driver in [Driver::Sim, Driver::Threads] {
+        let outcome = run(Engine::Mitos, driver);
+        assert_eq!(outcome.outputs, reference.outputs, "outputs on {driver:?}");
+        assert_eq!(outcome.path, reference.path, "path on {driver:?}");
     }
 }
 
@@ -222,10 +238,14 @@ fn keyed_operator_failures_carry_the_kernel_message_everywhere() {
     ];
     for (src, want) in cases {
         let func = compile(src).unwrap();
-        for engine in [Engine::Reference, Engine::Mitos, Engine::MitosThreads] {
-            let job = Run::new(&func).engine(engine).machines(2);
+        for (engine, driver) in [
+            (Engine::Reference, Driver::Sim),
+            (Engine::Mitos, Driver::Sim),
+            (Engine::Mitos, Driver::Threads),
+        ] {
+            let job = Run::new(&func).engine(engine).driver(driver).machines(2);
             let err = job.execute(&InMemoryFs::new()).expect_err(src);
-            assert_eq!(err.message, want, "{engine}");
+            assert_eq!(err.message, want, "{engine} {driver:?}");
         }
     }
 }
@@ -284,12 +304,96 @@ fn file_effects_inside_conditionals() {
 
 #[test]
 fn engine_enum_displays_paper_labels() {
-    assert_eq!(Engine::Mitos.to_string(), "Mitos");
-    assert_eq!(
-        Engine::MitosNoPipelining.to_string(),
-        "Mitos (not pipelined)"
-    );
-    assert_eq!(Engine::Spark.to_string(), "Spark");
+    let labels = [
+        (Engine::Mitos, "Mitos"),
+        (Engine::FlinkNative, "Flink (native iterations)"),
+        (Engine::FlinkSeparateJobs, "Flink (separate jobs)"),
+        (Engine::Spark, "Spark"),
+        (Engine::Reference, "Reference interpreter"),
+    ];
+    for (engine, label) in labels {
+        assert_eq!(engine.to_string(), label);
+    }
+}
+
+/// The cost model in [`EngineConfig`] reaches every simulated baseline:
+/// `Run` times each one exactly as its entry point does when handed the
+/// same cost.
+#[test]
+fn baselines_run_under_the_configured_cost_model() {
+    use mitos::baselines::{
+        flink_driver_config, run_driver_loop, run_flink_native_with, DriverConfig,
+    };
+    let spec = VisitCountSpec {
+        days: 3,
+        visits_per_day: 40,
+        pages: 10,
+        seed: 4,
+    };
+    let func = compile(&visit_count_program(3, false)).unwrap();
+    let cost = mitos::core::CostModel {
+        record_weight: 50,
+        per_insert_ns: 900,
+        ..Default::default()
+    };
+    let cluster = mitos::sim::SimConfig::with_machines(3);
+    let fs = || {
+        let fs = InMemoryFs::new();
+        generate_visit_logs(&fs, &spec);
+        fs
+    };
+    let driver_loop = |base: DriverConfig| {
+        let config = DriverConfig { cost, ..base };
+        run_driver_loop(&func, &fs(), config, cluster)
+            .unwrap()
+            .sim
+            .end_time
+    };
+    let direct = [
+        (Engine::Spark, driver_loop(DriverConfig::default())),
+        (
+            Engine::FlinkSeparateJobs,
+            driver_loop(flink_driver_config()),
+        ),
+        (
+            Engine::FlinkNative,
+            run_flink_native_with(&func, &fs(), cluster, cost)
+                .unwrap()
+                .sim
+                .end_time,
+        ),
+    ];
+    for (engine, direct_ns) in direct {
+        let via_run = Run::new(&func)
+            .engine(engine)
+            .cluster(cluster)
+            .config(EngineConfig::new().with_cost(cost))
+            .execute(&fs())
+            .unwrap();
+        let default_cost = Run::new(&func)
+            .engine(engine)
+            .cluster(cluster)
+            .execute(&fs())
+            .unwrap();
+        assert_eq!(via_run.elapsed_ns, direct_ns, "{engine}");
+        assert_ne!(
+            via_run.elapsed_ns, default_cost.elapsed_ns,
+            "{engine} ignored the cost"
+        );
+    }
+}
+
+#[test]
+fn thread_driver_is_mitos_only() {
+    let func = compile(r#"output(bag(1, 2).sum(), "s");"#).unwrap();
+    for engine in [Engine::Spark, Engine::Reference] {
+        let job = Run::new(&func).engine(engine).driver(Driver::Threads);
+        let err = job.execute(&InMemoryFs::new()).expect_err("threads");
+        assert!(
+            err.message.contains("requires a Mitos engine"),
+            "{engine}: {err}"
+        );
+    }
 }
 
 #[test]
@@ -430,12 +534,18 @@ fn pagerank_inside_the_daily_loop() {
         .machines(1)
         .execute(&ref_fs)
         .unwrap();
-    for engine in [Engine::Mitos, Engine::MitosNoPipelining, Engine::Spark] {
+    for (system, pipelined) in [
+        (Engine::Mitos, true),
+        (Engine::Mitos, false),
+        (Engine::Spark, true),
+    ] {
+        let engine = format!("{system} (pipelined={pipelined})");
         let fs = InMemoryFs::new();
         setup(&fs);
         let outcome = Run::new(&func)
-            .engine(engine)
+            .engine(system)
             .machines(3)
+            .config(EngineConfig::new().with_pipelining(pipelined))
             .execute(&fs)
             .unwrap_or_else(|e| panic!("{engine}: {e}"));
         assert_eq!(outcome.path, reference.path, "{engine}");

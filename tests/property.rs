@@ -12,7 +12,7 @@ use mitos::fs::InMemoryFs;
 use mitos::lang::ast::{Lambda, Program, Stmt, SurfExpr};
 use mitos::lang::expr::BinOp;
 use mitos::sim::SimConfig;
-use mitos::{Engine, EngineConfig, FaultPlan, ObsLevel, Run};
+use mitos::{Driver, Engine, EngineConfig, FaultPlan, ObsLevel, Run};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -281,6 +281,14 @@ fn arb_program_or_mixed_lambdas() -> BoxedStrategy<Program> {
     prop_oneof![3 => arb_program(), 1 => arb_mixed_lambda_program()].boxed()
 }
 
+/// A run of `func` under adversarial network jitter (Challenge 3).
+fn jittered(func: &mitos::ir::FuncIr, machines: u16, seed: u64) -> Run<'_> {
+    let mut cluster = SimConfig::with_machines(machines);
+    cluster.seed = seed;
+    cluster.jitter_pct = 35;
+    Run::new(func).cluster(cluster)
+}
+
 fn engines_agree(program: &Program, machines: u16, seed: u64) {
     let src = program.to_string();
     let func = match mitos::ir::compile(program) {
@@ -293,73 +301,27 @@ fn engines_agree(program: &Program, machines: u16, seed: u64) {
         .machines(1)
         .execute(&fs)
         .unwrap_or_else(|e| panic!("reference: {e}\n{src}"));
-    for engine in [
-        Engine::Mitos,
-        Engine::MitosNoPipelining,
-        Engine::Spark,
-        Engine::MitosThreads,
+    for (engine, driver, pipelined) in [
+        (Engine::Mitos, Driver::Sim, true),
+        (Engine::Mitos, Driver::Sim, false),
+        (Engine::Spark, Driver::Sim, true),
+        (Engine::Mitos, Driver::Threads, true),
     ] {
-        let fs = InMemoryFs::new();
-        let mut cluster = SimConfig::with_machines(machines);
-        cluster.seed = seed;
-        cluster.jitter_pct = 35; // adversarial delays (Challenge 3)
-        let outcome = Run::new(&func)
+        let what = format!("{engine} on {driver:?} (pipelined={pipelined})");
+        let outcome = jittered(&func, machines, seed)
             .engine(engine)
-            .cluster(cluster)
-            .execute(&fs)
-            .unwrap_or_else(|e| panic!("{engine}: {e}\n{src}"));
+            .driver(driver)
+            .config(EngineConfig::new().with_pipelining(pipelined))
+            .execute(&InMemoryFs::new())
+            .unwrap_or_else(|e| panic!("{what}: {e}\n{src}"));
         assert_eq!(
             outcome.outputs, reference.outputs,
-            "{engine} diverged on:\n{src}"
+            "{what} diverged on:\n{src}"
         );
         // OS scheduling can interleave threads arbitrarily, but the
         // reconstructed execution path must still be the sequential one.
-        assert_eq!(outcome.path, reference.path, "{engine} path on:\n{src}");
+        assert_eq!(outcome.path, reference.path, "{what} path on:\n{src}");
     }
-}
-
-/// Runs `func` on `engine` with the control-plane template cache switched
-/// per `templates`, under adversarial jitter, returning the outcome.
-fn run_with_templates(
-    func: &mitos::ir::FuncIr,
-    engine: Engine,
-    machines: u16,
-    seed: u64,
-    templates: bool,
-    src: &str,
-) -> mitos::Outcome {
-    let fs = InMemoryFs::new();
-    let mut cluster = SimConfig::with_machines(machines);
-    cluster.seed = seed;
-    cluster.jitter_pct = 35;
-    Run::new(func)
-        .engine(engine)
-        .cluster(cluster)
-        .config(EngineConfig::new().with_templates(templates))
-        .execute(&fs)
-        .unwrap_or_else(|e| panic!("{engine} (templates={templates}): {e}\n{src}"))
-}
-
-/// Runs `func` on `engine` with chain fusion switched per `fusion`, under
-/// adversarial jitter, returning the outcome.
-fn run_with_fusion(
-    func: &mitos::ir::FuncIr,
-    engine: Engine,
-    machines: u16,
-    seed: u64,
-    fusion: bool,
-    src: &str,
-) -> mitos::Outcome {
-    let fs = InMemoryFs::new();
-    let mut cluster = SimConfig::with_machines(machines);
-    cluster.seed = seed;
-    cluster.jitter_pct = 35;
-    Run::new(func)
-        .engine(engine)
-        .cluster(cluster)
-        .config(EngineConfig::new().with_fusion(fusion))
-        .execute(&fs)
-        .unwrap_or_else(|e| panic!("{engine} (fusion={fusion}): {e}\n{src}"))
 }
 
 proptest! {
@@ -421,16 +383,22 @@ proptest! {
         let src = program.to_string();
         let func = mitos::ir::compile(&program)
             .unwrap_or_else(|e| panic!("{e}\n{src}"));
-        for engine in [Engine::Mitos, Engine::MitosThreads] {
-            let fused = run_with_fusion(&func, engine, machines, seed, true, &src);
-            let unfused = run_with_fusion(&func, engine, machines, seed, false, &src);
+        for driver in [Driver::Sim, Driver::Threads] {
+            let run = |fusion: bool| {
+                jittered(&func, machines, seed)
+                    .driver(driver)
+                    .config(EngineConfig::new().with_fusion(fusion))
+                    .execute(&InMemoryFs::new())
+                    .unwrap_or_else(|e| panic!("{driver:?} (fusion={fusion}): {e}\n{src}"))
+            };
+            let (fused, unfused) = (run(true), run(false));
             prop_assert_eq!(
                 &fused.outputs, &unfused.outputs,
-                "{} outputs diverged under fusion on:\n{}", engine, src
+                "{:?} outputs diverged under fusion on:\n{}", driver, src
             );
             prop_assert_eq!(
                 &fused.path, &unfused.path,
-                "{} path diverged under fusion on:\n{}", engine, src
+                "{:?} path diverged under fusion on:\n{}", driver, src
             );
         }
     }
@@ -450,27 +418,33 @@ proptest! {
         let src = program.to_string();
         let func = mitos::ir::compile(&program)
             .unwrap_or_else(|e| panic!("{e}\n{src}"));
-        for engine in [Engine::Mitos, Engine::MitosThreads] {
-            let on = run_with_templates(&func, engine, machines, seed, true, &src);
-            let off = run_with_templates(&func, engine, machines, seed, false, &src);
+        for driver in [Driver::Sim, Driver::Threads] {
+            let run = |templates: bool| {
+                jittered(&func, machines, seed)
+                    .driver(driver)
+                    .config(EngineConfig::new().with_templates(templates))
+                    .execute(&InMemoryFs::new())
+                    .unwrap_or_else(|e| panic!("{driver:?} (templates={templates}): {e}\n{src}"))
+            };
+            let (on, off) = (run(true), run(false));
             prop_assert_eq!(
                 &on.outputs, &off.outputs,
-                "{} outputs diverged under templates on:\n{}", engine, src
+                "{:?} outputs diverged under templates on:\n{}", driver, src
             );
             prop_assert_eq!(
                 &on.path, &off.path,
-                "{} path diverged under templates on:\n{}", engine, src
+                "{:?} path diverged under templates on:\n{}", driver, src
             );
             prop_assert_eq!(
                 on.data_messages, off.data_messages,
-                "{} data-plane message count diverged under templates on:\n{}",
-                engine, src
+                "{:?} data-plane message count diverged under templates on:\n{}",
+                driver, src
             );
             // The off-run must not have touched the cache at all.
             prop_assert_eq!(
                 (off.template_hits, off.template_misses, off.template_invalidations),
                 (0, 0, 0),
-                "{} templates-off run recorded cache activity on:\n{}", engine, src
+                "{:?} templates-off run recorded cache activity on:\n{}", driver, src
             );
         }
     }
@@ -499,28 +473,22 @@ proptest! {
         let src = program.to_string();
         let func = mitos::ir::compile(&program)
             .unwrap_or_else(|e| panic!("{e}\n{src}"));
-        for engine in [Engine::Mitos, Engine::MitosThreads] {
-            let run_with_batch = |elems: usize| {
-                let fs = InMemoryFs::new();
-                let mut cluster = SimConfig::with_machines(machines);
-                cluster.seed = seed;
-                cluster.jitter_pct = 35;
-                Run::new(&func)
-                    .engine(engine)
-                    .cluster(cluster)
-                    .batch_elems(elems)
-                    .execute(&fs)
-                    .unwrap_or_else(|e| panic!("{engine} (batch_elems={elems}): {e}\n{src}"))
+        for driver in [Driver::Sim, Driver::Threads] {
+            let run = |elems: usize| {
+                jittered(&func, machines, seed)
+                    .driver(driver)
+                    .config(EngineConfig::new().with_batch_elems(elems))
+                    .execute(&InMemoryFs::new())
+                    .unwrap_or_else(|e| panic!("{driver:?} (batch_elems={elems}): {e}\n{src}"))
             };
-            let unbatched = run_with_batch(1);
-            let batched = run_with_batch(1 << 20);
+            let (unbatched, batched) = (run(1), run(1 << 20));
             prop_assert_eq!(
                 &batched.outputs, &unbatched.outputs,
-                "{} outputs diverged across batch sizes on:\n{}", engine, src
+                "{:?} outputs diverged across batch sizes on:\n{}", driver, src
             );
             prop_assert_eq!(
                 &batched.path, &unbatched.path,
-                "{} path diverged across batch sizes on:\n{}", engine, src
+                "{:?} path diverged across batch sizes on:\n{}", driver, src
             );
         }
     }
@@ -579,59 +547,52 @@ proptest! {
         let src = program.to_string();
         let func = mitos::ir::compile(&program)
             .unwrap_or_else(|e| panic!("{e}\n{src}"));
-        let mut cluster = SimConfig::with_machines(machines);
-        cluster.seed = seed;
-        cluster.jitter_pct = 35;
-        for engine in [Engine::Mitos, Engine::MitosThreads] {
-            let fs = InMemoryFs::new();
-            let clean = Run::new(&func)
-                .engine(engine)
-                .cluster(cluster)
-                .obs(ObsLevel::Trace)
-                .execute(&fs)
-                .unwrap_or_else(|e| panic!("{engine} fault-free: {e}\n{src}"));
-            let fs = InMemoryFs::new();
-            let faulted = Run::new(&func)
-                .engine(engine)
-                .cluster(cluster)
-                .obs(ObsLevel::Trace)
-                .faults(plan.clone())
-                .execute(&fs)
+        let traced = EngineConfig::new().with_obs(ObsLevel::Trace);
+        for driver in [Driver::Sim, Driver::Threads] {
+            let job = |config: EngineConfig| {
+                jittered(&func, machines, seed)
+                    .driver(driver)
+                    .config(config)
+                    .execute(&InMemoryFs::new())
+            };
+            let clean = job(traced.clone())
+                .unwrap_or_else(|e| panic!("{driver:?} fault-free: {e}\n{src}"));
+            let faulted = job(traced.clone().with_faults(plan.clone()))
                 .unwrap_or_else(|e| panic!(
-                    "{engine} under {}: {e}\n{src}", plan.summary()
+                    "{driver:?} under {}: {e}\n{src}", plan.summary()
                 ));
             prop_assert_eq!(
                 &faulted.outputs, &clean.outputs,
-                "{} outputs diverged under {}:\n{}", engine, plan.summary(), src
+                "{:?} outputs diverged under {}:\n{}", driver, plan.summary(), src
             );
             prop_assert_eq!(
                 &faulted.path, &clean.path,
-                "{} path diverged under {}:\n{}", engine, plan.summary(), src
+                "{:?} path diverged under {}:\n{}", driver, plan.summary(), src
             );
 
             let clean_trees = clean.trace_trees().unwrap();
             let faulted_trees = faulted.trace_trees().unwrap();
             prop_assert_eq!(
                 faulted_trees.len(), clean_trees.len(),
-                "{} step-tree count diverged under {}:\n{}",
-                engine, plan.summary(), src
+                "{:?} step-tree count diverged under {}:\n{}",
+                driver, plan.summary(), src
             );
             let mut retry_annotations = 0u64;
             for (ct, ft) in clean_trees.iter().zip(&faulted_trees) {
                 prop_assert!(
                     ct.orphans.is_empty(),
-                    "{engine} fault-free step {} orphaned {:?}:\n{src}",
+                    "{driver:?} fault-free step {} orphaned {:?}:\n{src}",
                     ct.step, ct.orphans
                 );
                 prop_assert!(
                     ft.orphans.is_empty(),
-                    "{engine} step {} under {} orphaned {:?}:\n{src}",
+                    "{driver:?} step {} under {} orphaned {:?}:\n{src}",
                     ft.step, plan.summary(), ft.orphans
                 );
                 prop_assert_eq!(
                     ft.shape(), ct.shape(),
-                    "{} step {} tree shape diverged under {}:\n{}",
-                    engine, ft.step, plan.summary(), src
+                    "{:?} step {} tree shape diverged under {}:\n{}",
+                    driver, ft.step, plan.summary(), src
                 );
                 retry_annotations += ft
                     .spans
@@ -656,8 +617,8 @@ proptest! {
                 .count() as u64;
             prop_assert_eq!(
                 retry_annotations, decision_retries,
-                "{} attempt annotations diverged from decision retransmits under {}:\n{}",
-                engine, plan.summary(), src
+                "{:?} attempt annotations diverged from decision retransmits under {}:\n{}",
+                driver, plan.summary(), src
             );
 
             // Data-plane flow accounting must reconcile exactly with the
@@ -674,19 +635,19 @@ proptest! {
             ] {
                 prop_assert_eq!(
                     flow.messages_in_total(), outcome.data_messages,
-                    "{} {} run: flow messages != data_messages under {}:\n{}",
-                    engine, run, plan.summary(), src
+                    "{:?} {} run: flow messages != data_messages under {}:\n{}",
+                    driver, run, plan.summary(), src
                 );
                 for ef in &flow.edges {
                     prop_assert_eq!(
                         ef.elems_in(), ef.elems_out(),
-                        "{} {} run: edge {} delivered != sent elements under {}:\n{}",
-                        engine, run, ef.edge, plan.summary(), src
+                        "{:?} {} run: edge {} delivered != sent elements under {}:\n{}",
+                        driver, run, ef.edge, plan.summary(), src
                     );
                     prop_assert_eq!(
                         ef.msgs_in(), ef.msgs_out(),
-                        "{} {} run: edge {} delivered != sent messages under {}:\n{}",
-                        engine, run, ef.edge, plan.summary(), src
+                        "{:?} {} run: edge {} delivered != sent messages under {}:\n{}",
+                        driver, run, ef.edge, plan.summary(), src
                     );
                 }
             }
@@ -696,8 +657,8 @@ proptest! {
             for (cf, ff) in clean_flow.edges.iter().zip(&faulted_flow.edges) {
                 prop_assert_eq!(
                     cf.elems_in(), ff.elems_in(),
-                    "{} edge {} element tally diverged under faults {}:\n{}",
-                    engine, cf.edge, plan.summary(), src
+                    "{:?} edge {} element tally diverged under faults {}:\n{}",
+                    driver, cf.edge, plan.summary(), src
                 );
             }
 
@@ -718,13 +679,13 @@ proptest! {
                     let c = mem.class_total(class);
                     prop_assert_eq!(
                         (c.live, c.bytes), (0, 0),
-                        "{} {} run: {} retained at quiescence under {}:\n{}",
-                        engine, run, class.label(), plan.summary(), src
+                        "{:?} {} run: {} retained at quiescence under {}:\n{}",
+                        driver, run, class.label(), plan.summary(), src
                     );
                 }
                 prop_assert!(
                     mem.leak_free(),
-                    "{engine} {run} run not leak-free under {}: {:?}\n{src}",
+                    "{driver:?} {run} run not leak-free under {}: {:?}\n{src}",
                     plan.summary(), mem.retained_lines()
                 );
             }
