@@ -829,3 +829,54 @@ fn report_flags_are_uniform_across_subcommands() {
         assert!(dot.starts_with("digraph"), "{cmd}: {dot}");
     }
 }
+
+/// Every report byte, pinned: the text, `--json` and `--dot` outputs of
+/// the report subcommands and the `run --metrics-out` exposition, on
+/// `examples/nested_loops.mt` under the simulator. Virtual time makes all
+/// of them deterministic, so each must equal its file under
+/// `tests/golden/` exactly; a golden changes only with an intended report
+/// change.
+#[test]
+fn reports_match_goldens() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let program = root.join("examples/nested_loops.mt");
+    let program = program.to_str().unwrap();
+    let dir = std::env::temp_dir().join("mitos-cli-tests/golden");
+    std::fs::create_dir_all(&dir).unwrap();
+    let stdout_of = |args: &[&str]| -> String {
+        let mut all = vec![args[0], program, "--machines", "3"];
+        all.extend_from_slice(&args[1..]);
+        let output = mitos().args(&all).output().unwrap();
+        assert!(output.status.success(), "{all:?}: {output:?}");
+        String::from_utf8(output.stdout).unwrap()
+    };
+    let check = |golden: &str, got: String| {
+        let want = std::fs::read_to_string(root.join("tests/golden").join(golden)).unwrap();
+        assert!(
+            got == want,
+            "{golden} differs from tests/golden/{golden}:\n{got}"
+        );
+    };
+    for cmd in ["explain", "flow", "mem", "profile"] {
+        let dot = dir.join(format!("{cmd}.dot"));
+        let _ = std::fs::remove_file(&dot);
+        check(
+            &format!("{cmd}.txt"),
+            stdout_of(&[cmd, "--dot", dot.to_str().unwrap()]),
+        );
+        check(
+            &format!("{cmd}.dot"),
+            std::fs::read_to_string(&dot).unwrap(),
+        );
+        check(&format!("{cmd}.json"), stdout_of(&[cmd, "--json"]));
+    }
+    check("trace-tree.txt", stdout_of(&["trace-tree", "--step", "3"]));
+    check(
+        "trace-tree.json",
+        stdout_of(&["trace-tree", "--step", "3", "--json"]),
+    );
+    let prom = dir.join("run.prom");
+    let _ = std::fs::remove_file(&prom);
+    stdout_of(&["run", "--metrics-out", prom.to_str().unwrap()]);
+    check("run.prom", std::fs::read_to_string(&prom).unwrap());
+}
