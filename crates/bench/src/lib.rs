@@ -12,6 +12,7 @@
 #![warn(missing_docs)]
 
 use mitos::{Engine, EngineConfig, Run};
+use mitos_core::obs::expo::{object, Json};
 use mitos_core::CostModel;
 use mitos_fs::InMemoryFs;
 use mitos_ir::FuncIr;
@@ -201,30 +202,23 @@ impl From<String> for Cell {
 }
 
 impl Cell {
-    fn to_json(&self) -> String {
+    /// Writes the cell as one JSON value; non-finite numbers become `null`.
+    fn write(&self, j: &mut Json) {
         match self {
-            Cell::Num(v) if v.is_finite() => format!("{v}"),
-            Cell::Num(_) => "null".to_string(),
-            Cell::Int(v) => format!("{v}"),
-            Cell::Str(s) => json_str(s),
-        }
+            Cell::Num(v) => j.raw(finite_or_null(*v)),
+            Cell::Int(v) => j.raw(v),
+            Cell::Str(s) => j.str(s),
+        };
     }
 }
 
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+/// `v` as a JSON number, or `null` when it is not finite.
+fn finite_or_null(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v}")
+    } else {
+        "null".to_string()
     }
-    out.push('"');
-    out
 }
 
 /// A machine-readable summary of one figure's bench run — the measured
@@ -279,46 +273,31 @@ impl BenchReport {
 
     /// Serializes the report as deterministic JSON (insertion order kept).
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{{\"figure\":{},\"title\":{},\"full_scale\":{},\"rows\":[",
-            json_str(&self.fig),
-            json_str(&self.title),
-            full_scale()
-        ));
-        for (i, row) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('{');
-            for (j, (k, v)) in row.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
+        let mut out = object(|j| {
+            j.field_str("figure", &self.fig)
+                .field_str("title", &self.title)
+                .field("full_scale", full_scale());
+            j.key("rows").arr(|j| {
+                for row in &self.rows {
+                    j.obj(|j| {
+                        for (k, v) in row {
+                            v.write(j.key(k));
+                        }
+                    });
                 }
-                out.push_str(&format!("{}:{}", json_str(k), v.to_json()));
+            });
+            j.key("factors").obj(|j| {
+                for (k, v) in &self.factors {
+                    j.field(k, finite_or_null(*v));
+                }
+            });
+            if let Some((sha, seed, digest)) = &self.provenance {
+                j.field_str("git_sha", sha)
+                    .field("seed", seed)
+                    .field("config_digest", digest);
             }
-            out.push('}');
-        }
-        out.push_str("],\"factors\":{");
-        for (i, (k, v)) in self.factors.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let val = if v.is_finite() {
-                format!("{v}")
-            } else {
-                "null".to_string()
-            };
-            out.push_str(&format!("{}:{}", json_str(k), val));
-        }
-        out.push('}');
-        if let Some((sha, seed, digest)) = &self.provenance {
-            out.push_str(&format!(
-                ",\"git_sha\":{},\"seed\":{seed},\"config_digest\":{digest}",
-                json_str(sha)
-            ));
-        }
-        out.push_str("}\n");
+        });
+        out.push('\n');
         out
     }
 

@@ -9,39 +9,23 @@
 //! conditional send resolution, punctuations, decision broadcasts, …)
 //! renders as instant events on the operator's lane.
 //!
-//! The writer is dependency-free: JSON is emitted by hand, and
-//! [`validate_json`] provides a small self-contained checker used by the
-//! test-suite to prove the output parses.
+//! The writer is dependency-free; operator names go through the shared
+//! escaper ([`super::expo::quote`]), and the test-suite proves the output
+//! parses with [`super::expo::validate_json`].
 //!
 //! [Trace Event Format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
 use super::event::{EventKind, OP_NONE};
+use super::expo::quote;
 use super::ObsReport;
 use crate::engine::OpStats;
 use std::collections::HashMap;
-use std::fmt::Write as _;
 
 /// Thread id used for worker-level (control-flow manager) events.
 const TID_CONTROL: u64 = u32::MAX as u64;
 /// Lane stride per operator: lanes `op*1024 .. op*1024+slots` hold the
 /// operator's (possibly pipelined-overlapping) bag computations.
 const LANES_PER_OP: u64 = 1024;
-
-fn esc(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
 
 /// Microsecond timestamp with nanosecond fraction, as Chrome expects.
 fn ts_us(ns: u64) -> String {
@@ -201,15 +185,14 @@ pub fn chrome_trace(report: &ObsReport, ops: &[OpStats]) -> String {
             lane_free_at[slot] = iv.end;
             let tid = op as u64 * LANES_PER_OP + slot as u64;
             bag_lane.insert((machine, op, iv.bag_len), (tid, iv.start, iv.end));
-            let mut name = String::new();
-            esc(&mut name, &op_name(op));
             records.push((
                 iv.start,
                 2,
                 format!(
                     "{{\"ph\":\"B\",\"pid\":{machine},\"tid\":{tid},\"ts\":{},\
-                     \"name\":\"{name}\",\"args\":{{\"pos\":{},\"bag_len\":{}}}}}",
+                     \"name\":{},\"args\":{{\"pos\":{},\"bag_len\":{}}}}}",
                     ts_us(iv.start),
+                    quote(&op_name(op)),
                     iv.pos,
                     iv.bag_len
                 ),
@@ -386,14 +369,13 @@ pub fn chrome_trace(report: &ObsReport, ops: &[OpStats]) -> String {
             } else {
                 format!("{} (pipelined +{slot})", op_name(op))
             };
-            let mut name = String::new();
-            esc(&mut name, &label);
             push(
                 &mut out,
                 &mut first,
                 &format!(
                     "{{\"ph\":\"M\",\"pid\":{machine},\"tid\":{tid},\
-                     \"name\":\"thread_name\",\"args\":{{\"name\":\"{name}\"}}}}"
+                     \"name\":\"thread_name\",\"args\":{{\"name\":{}}}}}",
+                    quote(&label)
                 ),
             );
         }
@@ -405,168 +387,10 @@ pub fn chrome_trace(report: &ObsReport, ops: &[OpStats]) -> String {
     out
 }
 
-// --- Minimal JSON validator (tests; no external parser available) --------
-
-/// Checks that `s` is one well-formed JSON value. Returns the byte offset
-/// and a description on failure. Not a full RFC 8259 validator (accepts
-/// any non-control characters in strings) but strict about structure.
-pub fn validate_json(s: &str) -> Result<(), String> {
-    let b = s.as_bytes();
-    let mut i = 0usize;
-    skip_ws(b, &mut i);
-    value(b, &mut i)?;
-    skip_ws(b, &mut i);
-    if i != b.len() {
-        return Err(format!("trailing data at byte {i}"));
-    }
-    Ok(())
-}
-
-fn skip_ws(b: &[u8], i: &mut usize) {
-    while *i < b.len() && matches!(b[*i], b' ' | b'\t' | b'\n' | b'\r') {
-        *i += 1;
-    }
-}
-
-fn value(b: &[u8], i: &mut usize) -> Result<(), String> {
-    skip_ws(b, i);
-    match b.get(*i) {
-        Some(b'{') => object(b, i),
-        Some(b'[') => array(b, i),
-        Some(b'"') => string(b, i),
-        Some(b't') => literal(b, i, "true"),
-        Some(b'f') => literal(b, i, "false"),
-        Some(b'n') => literal(b, i, "null"),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => number(b, i),
-        other => Err(format!("unexpected {other:?} at byte {i}")),
-    }
-}
-
-fn literal(b: &[u8], i: &mut usize, lit: &str) -> Result<(), String> {
-    if b[*i..].starts_with(lit.as_bytes()) {
-        *i += lit.len();
-        Ok(())
-    } else {
-        Err(format!("bad literal at byte {i}"))
-    }
-}
-
-fn number(b: &[u8], i: &mut usize) -> Result<(), String> {
-    let start = *i;
-    if b.get(*i) == Some(&b'-') {
-        *i += 1;
-    }
-    while *i < b.len()
-        && (b[*i].is_ascii_digit() || matches!(b[*i], b'.' | b'e' | b'E' | b'+' | b'-'))
-    {
-        *i += 1;
-    }
-    if *i == start {
-        return Err(format!("empty number at byte {start}"));
-    }
-    std::str::from_utf8(&b[start..*i])
-        .ok()
-        .and_then(|t| t.parse::<f64>().ok())
-        .map(|_| ())
-        .ok_or_else(|| format!("bad number at byte {start}"))
-}
-
-fn string(b: &[u8], i: &mut usize) -> Result<(), String> {
-    debug_assert_eq!(b[*i], b'"');
-    *i += 1;
-    while *i < b.len() {
-        match b[*i] {
-            b'"' => {
-                *i += 1;
-                return Ok(());
-            }
-            b'\\' => {
-                *i += 1;
-                match b.get(*i) {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *i += 1,
-                    Some(b'u') => {
-                        if b.len() < *i + 5 || !b[*i + 1..*i + 5].iter().all(u8::is_ascii_hexdigit)
-                        {
-                            return Err(format!("bad \\u escape at byte {i}"));
-                        }
-                        *i += 5;
-                    }
-                    _ => return Err(format!("bad escape at byte {i}")),
-                }
-            }
-            c if c < 0x20 => return Err(format!("control char in string at byte {i}")),
-            _ => *i += 1,
-        }
-    }
-    Err("unterminated string".to_string())
-}
-
-fn object(b: &[u8], i: &mut usize) -> Result<(), String> {
-    *i += 1; // '{'
-    skip_ws(b, i);
-    if b.get(*i) == Some(&b'}') {
-        *i += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, i);
-        if b.get(*i) != Some(&b'"') {
-            return Err(format!("expected object key at byte {i}"));
-        }
-        string(b, i)?;
-        skip_ws(b, i);
-        if b.get(*i) != Some(&b':') {
-            return Err(format!("expected ':' at byte {i}"));
-        }
-        *i += 1;
-        value(b, i)?;
-        skip_ws(b, i);
-        match b.get(*i) {
-            Some(b',') => *i += 1,
-            Some(b'}') => {
-                *i += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {i}")),
-        }
-    }
-}
-
-fn array(b: &[u8], i: &mut usize) -> Result<(), String> {
-    *i += 1; // '['
-    skip_ws(b, i);
-    if b.get(*i) == Some(&b']') {
-        *i += 1;
-        return Ok(());
-    }
-    loop {
-        value(b, i)?;
-        skip_ws(b, i);
-        match b.get(*i) {
-            Some(b',') => *i += 1,
-            Some(b']') => {
-                *i += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {i}")),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::super::{merge_bufs, ObsBuf, ObsLevel};
+    use super::super::{merge_bufs, validate_json, ObsBuf, ObsLevel};
     use super::*;
-
-    #[test]
-    fn validator_accepts_and_rejects() {
-        validate_json("{\"a\":[1,2.5,-3e2,true,null,\"x\\n\"]}").unwrap();
-        validate_json("[]").unwrap();
-        assert!(validate_json("{\"a\":1,}").is_err());
-        assert!(validate_json("[1 2]").is_err());
-        assert!(validate_json("{\"a\"}").is_err());
-        assert!(validate_json("\"unterminated").is_err());
-    }
 
     #[test]
     fn empty_trace_is_valid() {

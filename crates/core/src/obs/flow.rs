@@ -35,6 +35,7 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::graph::{EdgeId, LogicalGraph};
+use crate::obs::expo::{family, labels, object, Kind};
 use crate::obs::fmt_ns;
 
 /// All counter traffic is single-writer-per-shard (or commutative adds),
@@ -591,168 +592,127 @@ impl FlowReport {
     /// Per-edge Prometheus series in text exposition format, appended to
     /// the phase-latency histograms under `--metrics-out`.
     pub fn prometheus(&self, graph: &LogicalGraph) -> String {
-        let mut out = String::new();
-        let label = |e: EdgeId| {
-            let edge = &graph.edges[e as usize];
-            format!(
-                "edge=\"{e}\",src=\"{}\",dst=\"{}\"",
-                graph.nodes[edge.src as usize].name, graph.nodes[edge.dst as usize].name
-            )
+        let series = |ef: &EdgeFlow, dir: Option<&str>| {
+            let edge = &graph.edges[ef.edge as usize];
+            let src = &graph.nodes[edge.src as usize].name;
+            let dst = &graph.nodes[edge.dst as usize].name;
+            let mut pairs: Vec<(&str, &dyn std::fmt::Display)> =
+                vec![("edge", &ef.edge), ("src", src), ("dst", dst)];
+            if let Some(dir) = &dir {
+                pairs.push(("dir", dir));
+            }
+            labels(&pairs)
         };
-        out.push_str("# HELP mitos_edge_bytes_total Serialized data-plane bytes per edge.\n");
-        out.push_str("# TYPE mitos_edge_bytes_total counter\n");
-        for e in &self.edges {
-            let _ = writeln!(
-                out,
-                "mitos_edge_bytes_total{{{}}} {}",
-                label(e.edge),
-                e.bytes()
-            );
-        }
-        out.push_str(
-            "# HELP mitos_edge_remote_bytes_total Data-plane bytes that crossed machines.\n",
+        let per_edge =
+            |f: fn(&EdgeFlow) -> u64| self.edges.iter().map(move |e| (series(e, None), f(e)));
+        let in_out = |out: fn(&EdgeFlow) -> u64, inn: fn(&EdgeFlow) -> u64| {
+            self.edges.iter().flat_map(move |e| {
+                [
+                    (series(e, Some("out")), out(e)),
+                    (series(e, Some("in")), inn(e)),
+                ]
+            })
+        };
+        let mut out = String::new();
+        family(
+            &mut out,
+            "mitos_edge_bytes_total",
+            "Serialized data-plane bytes per edge.",
+            Kind::Counter,
+            per_edge(EdgeFlow::bytes),
         );
-        out.push_str("# TYPE mitos_edge_remote_bytes_total counter\n");
-        for e in &self.edges {
-            let _ = writeln!(
-                out,
-                "mitos_edge_remote_bytes_total{{{}}} {}",
-                label(e.edge),
-                e.remote_bytes()
-            );
-        }
-        out.push_str(
-            "# HELP mitos_edge_retransmit_bytes_total Retransmitted wire bytes per edge.\n",
+        family(
+            &mut out,
+            "mitos_edge_remote_bytes_total",
+            "Data-plane bytes that crossed machines.",
+            Kind::Counter,
+            per_edge(EdgeFlow::remote_bytes),
         );
-        out.push_str("# TYPE mitos_edge_retransmit_bytes_total counter\n");
-        for e in &self.edges {
-            let _ = writeln!(
-                out,
-                "mitos_edge_retransmit_bytes_total{{{}}} {}",
-                label(e.edge),
-                e.retrans_bytes()
-            );
-        }
-        out.push_str("# HELP mitos_edge_elements_total Elements per edge by direction.\n");
-        out.push_str("# TYPE mitos_edge_elements_total counter\n");
-        for e in &self.edges {
-            let _ = writeln!(
-                out,
-                "mitos_edge_elements_total{{{},dir=\"out\"}} {}",
-                label(e.edge),
-                e.elems_out()
-            );
-            let _ = writeln!(
-                out,
-                "mitos_edge_elements_total{{{},dir=\"in\"}} {}",
-                label(e.edge),
-                e.elems_in()
-            );
-        }
-        out.push_str(
-            "# HELP mitos_edge_messages_total Logical data-plane messages per edge by direction.\n",
+        family(
+            &mut out,
+            "mitos_edge_retransmit_bytes_total",
+            "Retransmitted wire bytes per edge.",
+            Kind::Counter,
+            per_edge(EdgeFlow::retrans_bytes),
         );
-        out.push_str("# TYPE mitos_edge_messages_total counter\n");
-        for e in &self.edges {
-            let _ = writeln!(
-                out,
-                "mitos_edge_messages_total{{{},dir=\"out\"}} {}",
-                label(e.edge),
-                e.msgs_out()
-            );
-            let _ = writeln!(
-                out,
-                "mitos_edge_messages_total{{{},dir=\"in\"}} {}",
-                label(e.edge),
-                e.msgs_in()
-            );
-        }
-        out.push_str(
-            "# HELP mitos_edge_inflight_hwm Relay unacked-window high-watermark per edge.\n",
+        family(
+            &mut out,
+            "mitos_edge_elements_total",
+            "Elements per edge by direction.",
+            Kind::Counter,
+            in_out(EdgeFlow::elems_out, EdgeFlow::elems_in),
         );
-        out.push_str("# TYPE mitos_edge_inflight_hwm gauge\n");
-        for e in &self.edges {
-            let _ = writeln!(
-                out,
-                "mitos_edge_inflight_hwm{{{}}} {}",
-                label(e.edge),
-                e.inflight_hwm()
-            );
-        }
-        out.push_str(
-            "# HELP mitos_edge_backpressure_ns_total Sampled time an edge spent backpressured.\n",
+        family(
+            &mut out,
+            "mitos_edge_messages_total",
+            "Logical data-plane messages per edge by direction.",
+            Kind::Counter,
+            in_out(EdgeFlow::msgs_out, EdgeFlow::msgs_in),
         );
-        out.push_str("# TYPE mitos_edge_backpressure_ns_total counter\n");
-        for e in &self.edges {
-            let _ = writeln!(
-                out,
-                "mitos_edge_backpressure_ns_total{{{}}} {}",
-                label(e.edge),
-                e.backpressure_ns
-            );
-        }
-        out.push_str(
-            "# HELP mitos_inbox_depth_hwm Sampled inbox-occupancy high-watermark per machine.\n",
+        family(
+            &mut out,
+            "mitos_edge_inflight_hwm",
+            "Relay unacked-window high-watermark per edge.",
+            Kind::Gauge,
+            per_edge(EdgeFlow::inflight_hwm),
         );
-        out.push_str("# TYPE mitos_inbox_depth_hwm gauge\n");
-        for (m, hwm) in self.inbox_hwm.iter().enumerate() {
-            let _ = writeln!(out, "mitos_inbox_depth_hwm{{machine=\"{m}\"}} {hwm}");
-        }
+        family(
+            &mut out,
+            "mitos_edge_backpressure_ns_total",
+            "Sampled time an edge spent backpressured.",
+            Kind::Counter,
+            per_edge(|e| e.backpressure_ns),
+        );
+        family(
+            &mut out,
+            "mitos_inbox_depth_hwm",
+            "Sampled inbox-occupancy high-watermark per machine.",
+            Kind::Gauge,
+            self.inbox_hwm
+                .iter()
+                .enumerate()
+                .map(|(m, hwm)| (labels(&[("machine", &m)]), hwm)),
+        );
         out
     }
 
-    /// Serializes the report as deterministic JSON (hand-rolled, no
-    /// external dependencies) — the machine-readable counterpart of
-    /// [`FlowReport::render`], embedded in `mitos explain --json`. Edges
-    /// are ordered hottest-first; edges that carried no traffic are
-    /// omitted.
+    /// Serializes the report as deterministic JSON — the machine-readable
+    /// counterpart of [`FlowReport::render`], embedded in
+    /// `mitos explain --json`. Edges are ordered hottest-first; edges that
+    /// carried no traffic are omitted.
     pub fn to_json(&self, graph: &LogicalGraph) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"messages\":{},\"elements\":{},\"bytes\":{},\
-             \"bytes_on_wire\":{},\"retransmitted_bytes\":{},\"edges\":[",
-            self.messages_in_total(),
-            self.elements_in_total(),
-            self.bytes_total(),
-            self.bytes_on_wire(),
-            self.retrans_bytes_total(),
-        );
-        for (i, ef) in self.edges_by_bytes().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let e = &graph.edges[ef.edge as usize];
-            let _ = write!(
-                out,
-                "{{\"edge\":{},\"src\":{},\"dst\":{},\"label\":{},\
-                 \"msgs_out\":{},\"msgs_in\":{},\"elems_out\":{},\"elems_in\":{},\
-                 \"bytes\":{},\"remote_bytes\":{},\"retransmitted_bytes\":{},\
-                 \"inflight_hwm\":{},\"backpressure_ns\":{}}}",
-                ef.edge,
-                e.src,
-                e.dst,
-                super::json_str(&Self::edge_label(graph, ef.edge)),
-                ef.msgs_out(),
-                ef.msgs_in(),
-                ef.elems_out(),
-                ef.elems_in(),
-                ef.bytes(),
-                ef.remote_bytes(),
-                ef.retrans_bytes(),
-                ef.inflight_hwm(),
-                ef.backpressure_ns,
-            );
-        }
-        out.push_str("],\"inbox_hwm\":[");
-        for (m, hwm) in self.inbox_hwm.iter().enumerate() {
-            if m > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{hwm}");
-        }
-        out.push_str("]}");
-        out
+        object(|j| {
+            j.field("messages", self.messages_in_total())
+                .field("elements", self.elements_in_total())
+                .field("bytes", self.bytes_total())
+                .field("bytes_on_wire", self.bytes_on_wire())
+                .field("retransmitted_bytes", self.retrans_bytes_total());
+            j.key("edges").arr(|j| {
+                for ef in self.edges_by_bytes() {
+                    let e = &graph.edges[ef.edge as usize];
+                    j.obj(|j| {
+                        j.field("edge", ef.edge)
+                            .field("src", e.src)
+                            .field("dst", e.dst)
+                            .field_str("label", &Self::edge_label(graph, ef.edge))
+                            .field("msgs_out", ef.msgs_out())
+                            .field("msgs_in", ef.msgs_in())
+                            .field("elems_out", ef.elems_out())
+                            .field("elems_in", ef.elems_in())
+                            .field("bytes", ef.bytes())
+                            .field("remote_bytes", ef.remote_bytes())
+                            .field("retransmitted_bytes", ef.retrans_bytes())
+                            .field("inflight_hwm", ef.inflight_hwm())
+                            .field("backpressure_ns", ef.backpressure_ns);
+                    });
+                }
+            });
+            j.key("inbox_hwm").arr(|j| {
+                for hwm in &self.inbox_hwm {
+                    j.raw(hwm);
+                }
+            });
+        })
     }
 }
 

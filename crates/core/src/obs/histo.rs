@@ -10,8 +10,7 @@
 //! `i` covers `[2^(i-1), 2^i)` ns (bucket 0 = 0 ns), 32 buckets total,
 //! so the `+Inf`-free upper bound is ~2.1 s.
 
-use std::fmt::Write as _;
-
+use crate::obs::expo::{family, labels, Kind};
 use crate::obs::span::{SpanKind, StepTree};
 
 /// Number of log₂ buckets (covers 0 ns .. ~2.1 s).
@@ -136,9 +135,7 @@ impl PhaseHistograms {
     /// cumulative `_bucket` series with `le` labels, `_sum`/`_count`,
     /// plus p50/p99/max gauges and a `mitos_steps_total` counter.
     pub fn prometheus(&self) -> String {
-        let mut out = String::new();
-        out.push_str("# HELP mitos_phase_latency_ns Control-plane per-step phase latency.\n");
-        out.push_str("# TYPE mitos_phase_latency_ns histogram\n");
+        let mut series = Vec::new();
         for (name, h) in self.phases() {
             let mut cum = 0u64;
             for (i, &c) in h.buckets.iter().enumerate() {
@@ -147,49 +144,48 @@ impl PhaseHistograms {
                     break; // omit empty tail buckets
                 }
                 let le = if i == 0 { 0 } else { (1u64 << i) - 1 };
-                let _ = writeln!(
-                    out,
-                    "mitos_phase_latency_ns_bucket{{phase=\"{name}\",le=\"{le}\"}} {cum}"
-                );
+                series.push((
+                    format!("_bucket{}", labels(&[("phase", &name), ("le", &le)])),
+                    cum,
+                ));
             }
-            let _ = writeln!(
-                out,
-                "mitos_phase_latency_ns_bucket{{phase=\"{name}\",le=\"+Inf\"}} {}",
-                h.count
-            );
-            let _ = writeln!(
-                out,
-                "mitos_phase_latency_ns_sum{{phase=\"{name}\"}} {}",
-                h.sum_ns
-            );
-            let _ = writeln!(
-                out,
-                "mitos_phase_latency_ns_count{{phase=\"{name}\"}} {}",
-                h.count
-            );
+            let phase = labels(&[("phase", &name)]);
+            series.push((
+                format!("_bucket{}", labels(&[("phase", &name), ("le", &"+Inf")])),
+                h.count,
+            ));
+            series.push((format!("_sum{phase}"), h.sum_ns));
+            series.push((format!("_count{phase}"), h.count));
         }
-        out.push_str("# HELP mitos_phase_latency_quantile_ns Per-phase latency quantiles.\n");
-        out.push_str("# TYPE mitos_phase_latency_quantile_ns gauge\n");
-        for (name, h) in self.phases() {
-            let _ = writeln!(
-                out,
-                "mitos_phase_latency_quantile_ns{{phase=\"{name}\",q=\"0.5\"}} {}",
-                h.quantile(0.5)
-            );
-            let _ = writeln!(
-                out,
-                "mitos_phase_latency_quantile_ns{{phase=\"{name}\",q=\"0.99\"}} {}",
-                h.quantile(0.99)
-            );
-            let _ = writeln!(
-                out,
-                "mitos_phase_latency_quantile_ns{{phase=\"{name}\",q=\"max\"}} {}",
-                h.max_ns
-            );
-        }
-        out.push_str("# HELP mitos_steps_total Path positions traced.\n");
-        out.push_str("# TYPE mitos_steps_total counter\n");
-        let _ = writeln!(out, "mitos_steps_total {}", self.steps);
+        let mut out = String::new();
+        family(
+            &mut out,
+            "mitos_phase_latency_ns",
+            "Control-plane per-step phase latency.",
+            Kind::Histogram,
+            series,
+        );
+        family(
+            &mut out,
+            "mitos_phase_latency_quantile_ns",
+            "Per-phase latency quantiles.",
+            Kind::Gauge,
+            self.phases().into_iter().flat_map(|(name, h)| {
+                [
+                    ("0.5", h.quantile(0.5)),
+                    ("0.99", h.quantile(0.99)),
+                    ("max", h.max_ns),
+                ]
+                .map(|(q, v)| (labels(&[("phase", &name), ("q", &q)]), v))
+            }),
+        );
+        family(
+            &mut out,
+            "mitos_steps_total",
+            "Path positions traced.",
+            Kind::Counter,
+            [("", self.steps)],
+        );
         out
     }
 }

@@ -44,6 +44,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::graph::LogicalGraph;
 use crate::obs::event::OP_NONE;
+use crate::obs::expo::{family, labels, object, Kind};
 use crate::obs::flow::fmt_bytes;
 
 /// All counter traffic is single-writer-per-shard (or commutative adds),
@@ -542,125 +543,106 @@ impl MemReport {
     /// appended to the phase histograms and flow series under
     /// `--metrics-out`.
     pub fn prometheus(&self, graph: &LogicalGraph) -> String {
+        let per_class = |f: fn(&ClassMem) -> u64| {
+            self.machines
+                .iter()
+                .enumerate()
+                .flat_map(move |(m, shard)| {
+                    MemClass::ALL.into_iter().map(move |class| {
+                        let c = &shard.classes[class as usize];
+                        (labels(&[("machine", &m), ("class", &class.label())]), f(c))
+                    })
+                })
+        };
         let mut out = String::new();
-        out.push_str("# HELP mitos_mem_resident_bytes Resident state bytes per machine and retention class.\n");
-        out.push_str("# TYPE mitos_mem_resident_bytes gauge\n");
-        for (m, shard) in self.machines.iter().enumerate() {
-            for class in MemClass::ALL {
-                let c = &shard.classes[class as usize];
-                let _ = writeln!(
-                    out,
-                    "mitos_mem_resident_bytes{{machine=\"{m}\",class=\"{}\"}} {}",
-                    class.label(),
-                    c.bytes
-                );
-            }
-        }
-        out.push_str("# HELP mitos_mem_resident_bytes_peak High-water mark of resident bytes per machine and class.\n");
-        out.push_str("# TYPE mitos_mem_resident_bytes_peak gauge\n");
-        for (m, shard) in self.machines.iter().enumerate() {
-            for class in MemClass::ALL {
-                let c = &shard.classes[class as usize];
-                let _ = writeln!(
-                    out,
-                    "mitos_mem_resident_bytes_peak{{machine=\"{m}\",class=\"{}\"}} {}",
-                    class.label(),
-                    c.bytes_hwm
-                );
-            }
-        }
-        out.push_str(
-            "# HELP mitos_mem_resident_bags Live resident bags per machine and retention class.\n",
+        family(
+            &mut out,
+            "mitos_mem_resident_bytes",
+            "Resident state bytes per machine and retention class.",
+            Kind::Gauge,
+            per_class(|c| c.bytes),
         );
-        out.push_str("# TYPE mitos_mem_resident_bags gauge\n");
-        for (m, shard) in self.machines.iter().enumerate() {
-            for class in MemClass::ALL {
-                let c = &shard.classes[class as usize];
-                let _ = writeln!(
-                    out,
-                    "mitos_mem_resident_bags{{machine=\"{m}\",class=\"{}\"}} {}",
-                    class.label(),
-                    c.live
-                );
-            }
-        }
-        out.push_str("# HELP mitos_mem_machine_resident_bytes Resident state bytes per machine, all classes.\n");
-        out.push_str("# TYPE mitos_mem_machine_resident_bytes gauge\n");
-        for (m, shard) in self.machines.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "mitos_mem_machine_resident_bytes{{machine=\"{m}\"}} {}",
-                shard.resident
-            );
-        }
-        out.push_str("# HELP mitos_mem_op_resident_bytes_peak Peak resident bytes per operator.\n");
-        out.push_str("# TYPE mitos_mem_op_resident_bytes_peak gauge\n");
-        for (op, peak, _) in self.ops_by_peak() {
-            let name = graph.nodes.get(op as usize).map_or("?", |n| &*n.name);
-            let _ = writeln!(
-                out,
-                "mitos_mem_op_resident_bytes_peak{{op=\"{op}\",name=\"{name}\"}} {peak}"
-            );
-        }
+        family(
+            &mut out,
+            "mitos_mem_resident_bytes_peak",
+            "High-water mark of resident bytes per machine and class.",
+            Kind::Gauge,
+            per_class(|c| c.bytes_hwm),
+        );
+        family(
+            &mut out,
+            "mitos_mem_resident_bags",
+            "Live resident bags per machine and retention class.",
+            Kind::Gauge,
+            per_class(|c| c.live),
+        );
+        family(
+            &mut out,
+            "mitos_mem_machine_resident_bytes",
+            "Resident state bytes per machine, all classes.",
+            Kind::Gauge,
+            self.machines
+                .iter()
+                .enumerate()
+                .map(|(m, shard)| (labels(&[("machine", &m)]), shard.resident)),
+        );
+        family(
+            &mut out,
+            "mitos_mem_op_resident_bytes_peak",
+            "Peak resident bytes per operator.",
+            Kind::Gauge,
+            self.ops_by_peak().into_iter().map(|(op, peak, _)| {
+                let name = graph.nodes.get(op as usize).map_or("?", |n| &*n.name);
+                (labels(&[("op", &op), ("name", &name)]), peak)
+            }),
+        );
         out
     }
 
-    /// Serializes the report as deterministic JSON (hand-rolled, no
-    /// external dependencies) — the machine-readable counterpart of
-    /// [`MemReport::render`], embedded in `mitos explain --json`.
+    /// Serializes the report as deterministic JSON — the machine-readable
+    /// counterpart of [`MemReport::render`], embedded in
+    /// `mitos explain --json`.
     pub fn to_json(&self, graph: &LogicalGraph) -> String {
         let nc = self.non_cache_resident();
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"resident_bytes\":{},\"peak_resident_bytes\":{},\"leak_free\":{},\
-             \"non_cache_bags\":{},\"non_cache_bytes\":{},\"classes\":[",
-            self.resident_total(),
-            self.peak_resident(),
-            self.leak_free(),
-            nc.live,
-            nc.bytes,
-        );
-        for (i, class) in MemClass::ALL.into_iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let c = self.class_total(class);
-            let _ = write!(
-                out,
-                "{{\"class\":{},\"live\":{},\"elems\":{},\"bytes\":{},\"peak_bytes\":{}}}",
-                super::json_str(class.label()),
-                c.live,
-                c.elems,
-                c.bytes,
-                c.bytes_hwm,
-            );
-        }
-        out.push_str("],\"machines\":[");
-        for (m, shard) in self.machines.iter().enumerate() {
-            if m > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"machine\":{m},\"resident_bytes\":{},\"peak_bytes\":{}}}",
-                shard.resident, shard.resident_hwm,
-            );
-        }
-        out.push_str("],\"ops\":[");
-        for (i, (op, peak, now)) in self.ops_by_peak().into_iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let name = graph.nodes.get(op as usize).map_or("?", |n| &*n.name);
-            let _ = write!(
-                out,
-                "{{\"op\":{op},\"name\":{},\"peak_bytes\":{peak},\"bytes\":{now}}}",
-                super::json_str(name),
-            );
-        }
-        out.push_str("]}");
-        out
+        object(|j| {
+            j.field("resident_bytes", self.resident_total())
+                .field("peak_resident_bytes", self.peak_resident())
+                .field("leak_free", self.leak_free())
+                .field("non_cache_bags", nc.live)
+                .field("non_cache_bytes", nc.bytes);
+            j.key("classes").arr(|j| {
+                for class in MemClass::ALL {
+                    let c = self.class_total(class);
+                    j.obj(|j| {
+                        j.field_str("class", class.label())
+                            .field("live", c.live)
+                            .field("elems", c.elems)
+                            .field("bytes", c.bytes)
+                            .field("peak_bytes", c.bytes_hwm);
+                    });
+                }
+            });
+            j.key("machines").arr(|j| {
+                for (m, shard) in self.machines.iter().enumerate() {
+                    j.obj(|j| {
+                        j.field("machine", m)
+                            .field("resident_bytes", shard.resident)
+                            .field("peak_bytes", shard.resident_hwm);
+                    });
+                }
+            });
+            j.key("ops").arr(|j| {
+                for (op, peak, now) in self.ops_by_peak() {
+                    let name = graph.nodes.get(op as usize).map_or("?", |n| &*n.name);
+                    j.obj(|j| {
+                        j.field("op", op)
+                            .field_str("name", name)
+                            .field("peak_bytes", peak)
+                            .field("bytes", now);
+                    });
+                }
+            });
+        })
     }
 }
 

@@ -17,12 +17,18 @@
 //!
 //! Exporters: [`chrome::chrome_trace`] (Chrome `chrome://tracing` /
 //! Perfetto JSON), [`explain::explain_report`] (per-operator text table),
-//! and the count overlay in [`crate::dot::to_dot`] via [`crate::dot::DotOverlay::metrics`].
+//! the `to_json` / `prometheus` methods of the reports ([`FlowReport`],
+//! [`MemReport`], [`Profile`], [`PhaseHistograms`]), and the overlays in
+//! [`crate::dot::to_dot`] via [`crate::dot::DotOverlay`]. Every JSON
+//! document and Prometheus series is written through [`expo`], the one
+//! escaper, object/array writer and metric-family writer; nothing else
+//! formats either by hand.
 
 pub mod chrome;
 pub mod critical;
 pub mod event;
 pub mod explain;
+pub mod expo;
 pub mod flow;
 pub mod histo;
 pub mod live;
@@ -33,10 +39,11 @@ pub mod recorder;
 pub mod span;
 pub mod watchdog;
 
-pub use chrome::{chrome_trace, validate_json};
+pub use chrome::chrome_trace;
 pub use critical::{critical_path, BagNode, CriticalPath};
 pub use event::{Event, EventKind, InputRule, OP_NONE};
 pub use explain::{explain_parts, explain_report};
+pub use expo::validate_json;
 pub use flow::{EdgeFlow, FlowRegistry, FlowReport, BACKPRESSURE_WINDOW};
 pub use histo::{Histogram, PhaseHistograms};
 pub use live::{progress_line, watch_table, OpSnapshot, Snapshot, TelemetryHub, WorkerSnapshot};
@@ -60,29 +67,6 @@ pub(crate) fn fmt_ns(ns: u64) -> String {
     } else {
         format!("{ns}ns")
     }
-}
-
-/// JSON string literal with the required escapes, shared by the
-/// hand-rolled JSON exporters ([`profile`], [`flow`]).
-pub(crate) fn json_str(s: &str) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// How much the runtime records.

@@ -18,7 +18,8 @@
 
 use super::critical::{bag_intervals, critical_path, CriticalPath};
 use super::event::EventKind;
-use super::{fmt_ns, json_str, ObsReport};
+use super::expo::object;
+use super::{fmt_ns, ObsReport};
 use crate::engine::OpStats;
 use mitos_ir::BlockId;
 use std::collections::BTreeMap;
@@ -412,132 +413,105 @@ impl Profile {
     }
 
     /// Serializes the profile as deterministic JSON (machine-readable
-    /// counterpart of [`Profile::render`]; hand-rolled, no external
-    /// dependencies). `ops` supplies operator names.
+    /// counterpart of [`Profile::render`]). `ops` supplies operator names.
     pub fn to_json(&self, ops: &[OpStats]) -> String {
-        let mut out = String::new();
-        out.push('{');
-        let _ = write!(
-            out,
-            "\"makespan_ns\":{},\"max_depth\":{},",
-            self.makespan_ns, self.max_depth
-        );
-        out.push_str("\"iterations\":[");
-        for (i, row) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let coords: Vec<String> = row.coords.iter().map(u32::to_string).collect();
-            let _ = write!(
-                out,
-                "{{\"coords\":[{}],\"label\":{},\"bags\":{},\"busy_ns\":{},\
-                 \"emitted\":{},\"decisions\":{},\"send_wait_ns\":{},\
-                 \"start_ns\":{},\"end_ns\":{},\"critical_ns\":{},\"skew\":{:.4},",
-                coords.join(","),
-                json_str(&row.label()),
-                row.bags,
-                row.busy_ns,
-                row.emitted,
-                row.decisions,
-                row.send_wait_ns,
-                row.start_ns,
-                row.end_ns,
-                row.critical_ns,
-                row.skew(),
-            );
-            push_map(&mut out, "machines", row.machine_busy.iter());
-            out.push(',');
-            push_map(&mut out, "operators", row.op_busy.iter());
-            out.push('}');
-        }
-        out.push_str("],");
-        for (name, phase) in [("warmup", &self.warmup), ("steady", &self.steady)] {
-            let _ = write!(
-                out,
-                "\"{name}\":{{\"rows\":{},\"busy_ns\":{},\"emitted\":{},\
-                 \"critical_ns\":{}}},",
-                phase.rows, phase.busy_ns, phase.emitted, phase.critical_ns
-            );
-        }
-        out.push_str("\"machines\":[");
-        for (i, m) in self.machines.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"machine\":{},\"busy_ns\":{},\"bags\":{},\"emitted\":{}}}",
-                m.machine, m.busy_ns, m.bags, m.emitted
-            );
-        }
-        out.push_str("],\"critical\":{");
-        let _ = write!(out, "\"length_ns\":{},", self.critical.length_ns);
-        out.push_str("\"steps\":[");
-        for (i, s) in self.critical.steps.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let via = s
-                .via_edge
-                .map(|e| e.to_string())
-                .unwrap_or_else(|| "null".to_string());
-            let _ = write!(
-                out,
-                "{{\"machine\":{},\"op\":{},\"name\":{},\"bag_len\":{},\
-                 \"start_ns\":{},\"end_ns\":{},\"slack_ns\":{},\
-                 \"contribution_ns\":{},\"via_edge\":{via}}}",
-                s.node.machine,
-                s.node.op,
-                json_str(&op_name(ops, s.node.op)),
-                s.node.bag_len,
-                s.node.start_ns,
-                s.node.end_ns,
-                s.node.slack_ns,
-                s.contribution_ns,
-            );
-        }
-        out.push_str("],");
-        for (name, contrib) in [
-            ("op_contrib", &self.critical.op_contrib),
-            ("edge_contrib", &self.critical.edge_contrib),
-        ] {
-            let _ = write!(out, "\"{name}\":[");
-            for (i, &(id, ns)) in contrib.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
+        object(|j| {
+            j.field("makespan_ns", self.makespan_ns)
+                .field("max_depth", self.max_depth);
+            j.key("iterations").arr(|j| {
+                for row in &self.rows {
+                    j.obj(|j| {
+                        j.key("coords").arr(|j| {
+                            for c in &row.coords {
+                                j.raw(c);
+                            }
+                        });
+                        j.field_str("label", &row.label())
+                            .field("bags", row.bags)
+                            .field("busy_ns", row.busy_ns)
+                            .field("emitted", row.emitted)
+                            .field("decisions", row.decisions)
+                            .field("send_wait_ns", row.send_wait_ns)
+                            .field("start_ns", row.start_ns)
+                            .field("end_ns", row.end_ns)
+                            .field("critical_ns", row.critical_ns)
+                            .field("skew", format_args!("{:.4}", row.skew()));
+                        j.key("machines").obj(|j| {
+                            for (m, ns) in &row.machine_busy {
+                                j.field(&m.to_string(), ns);
+                            }
+                        });
+                        j.key("operators").obj(|j| {
+                            for (op, ns) in &row.op_busy {
+                                j.field(&op.to_string(), ns);
+                            }
+                        });
+                    });
                 }
-                let _ = write!(out, "[{id},{ns}]");
+            });
+            for (name, phase) in [("warmup", &self.warmup), ("steady", &self.steady)] {
+                j.key(name).obj(|j| {
+                    j.field("rows", phase.rows)
+                        .field("busy_ns", phase.busy_ns)
+                        .field("emitted", phase.emitted)
+                        .field("critical_ns", phase.critical_ns);
+                });
             }
-            out.push_str("],");
-        }
-        out.push_str("\"nodes\":[");
-        for (i, n) in self.critical.nodes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"machine\":{},\"op\":{},\"bag_len\":{},\"start_ns\":{},\
-                 \"end_ns\":{},\"slack_ns\":{}}}",
-                n.machine, n.op, n.bag_len, n.start_ns, n.end_ns, n.slack_ns
-            );
-        }
-        out.push_str("]}}");
-        out
+            j.key("machines").arr(|j| {
+                for m in &self.machines {
+                    j.obj(|j| {
+                        j.field("machine", m.machine)
+                            .field("busy_ns", m.busy_ns)
+                            .field("bags", m.bags)
+                            .field("emitted", m.emitted);
+                    });
+                }
+            });
+            j.key("critical").obj(|j| {
+                j.field("length_ns", self.critical.length_ns);
+                j.key("steps").arr(|j| {
+                    for s in &self.critical.steps {
+                        j.obj(|j| {
+                            j.field("machine", s.node.machine)
+                                .field("op", s.node.op)
+                                .field_str("name", &op_name(ops, s.node.op))
+                                .field("bag_len", s.node.bag_len)
+                                .field("start_ns", s.node.start_ns)
+                                .field("end_ns", s.node.end_ns)
+                                .field("slack_ns", s.node.slack_ns)
+                                .field("contribution_ns", s.contribution_ns);
+                            match s.via_edge {
+                                Some(e) => j.field("via_edge", e),
+                                None => j.field("via_edge", "null"),
+                            };
+                        });
+                    }
+                });
+                for (name, contrib) in [
+                    ("op_contrib", &self.critical.op_contrib),
+                    ("edge_contrib", &self.critical.edge_contrib),
+                ] {
+                    j.key(name).arr(|j| {
+                        for &(id, ns) in contrib {
+                            j.arr(|j| {
+                                j.raw(id).raw(ns);
+                            });
+                        }
+                    });
+                }
+                j.key("nodes").arr(|j| {
+                    for n in &self.critical.nodes {
+                        j.obj(|j| {
+                            j.field("machine", n.machine)
+                                .field("op", n.op)
+                                .field("bag_len", n.bag_len)
+                                .field("start_ns", n.start_ns)
+                                .field("end_ns", n.end_ns)
+                                .field("slack_ns", n.slack_ns);
+                        });
+                    }
+                });
+            });
+        })
     }
-}
-
-fn push_map<'a, K: std::fmt::Display + 'a>(
-    out: &mut String,
-    name: &str,
-    entries: impl Iterator<Item = (&'a K, &'a u64)>,
-) {
-    let _ = write!(out, "\"{name}\":{{");
-    for (i, (k, v)) in entries.enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{k}\":{v}");
-    }
-    out.push('}');
 }

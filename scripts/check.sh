@@ -62,6 +62,27 @@ if [ -n "$host_copies" ]; then
     exit 1
 fi
 
+# One writer per exposition format: JSON string escaping and Prometheus
+# HELP/TYPE header lines live in crates/core/src/obs/expo.rs; no other
+# non-test source under crates/ or src/ may write either by hand or carry
+# its own JSON escaper. (Integration-test directories and top-level
+# #[cfg(test)] modules are skipped; the patterns are spelled so this file
+# does not match itself.)
+expo_copies="$(find crates src -name '*.rs' -not -path '*/tests/*' \
+    -not -path crates/core/src/obs/expo.rs -print0 |
+    xargs -0 awk '
+        FNR == 1 { in_test = 0 }
+        /^#\[cfg\(test\)\]/ { in_test = 1 }
+        !in_test && /"# (HEL[P]|TYP[E]) |^[[:space:]]*# (HEL[P]|TYP[E]) |fn (json_st[r]|es[c])/ {
+            print FILENAME ":" FNR ": " $0
+        }
+        in_test && /^}/ { in_test = 0 }')"
+if [ -n "$expo_copies" ]; then
+    echo "check.sh: exposition written outside obs/expo.rs:" >&2
+    echo "$expo_copies" >&2
+    exit 1
+fi
+
 # The profiler must run end-to-end on the nested-loops example and print
 # its per-iteration table and critical path.
 profile_out="$(./target/release/mitos profile examples/nested_loops.mt --machines 3)"

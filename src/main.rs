@@ -11,6 +11,9 @@
 //! element — an integer, a float, a quoted string, or a comma-separated
 //! tuple of those.
 
+use mitos::core::obs::expo::{self, Kind};
+use mitos::core::obs::span::Span;
+use mitos::core::{DotOverlay, LogicalGraph, StepTree};
 use mitos::fs::InMemoryFs;
 use mitos::lang::Value;
 use mitos::sim::SimConfig;
@@ -55,7 +58,7 @@ fn usage() -> ! {
          # per-machine state-residency report: live bags/elements/bytes by\n          \
          #   retention class, high-water marks, leak attribution\n          \
          #   (Mitos engines only; --dot writes a node heat overlay)\n  \
-         mitos profile <program> [run options] [--json] [--profile-json out.json] [--dot out.dot]\n          \
+         mitos profile <program> [run options] [--json] [--dot out.dot]\n          \
          # per-iteration attribution + critical path (Mitos engines only)\n  \
          mitos trace-tree <program> [run options] [--step N] [--json] [--dot out.dot]\n          \
          # per-step causal span tree: decision broadcast -> receipt -> input\n          \
@@ -102,196 +105,192 @@ fn render_value(v: &Value) -> String {
     }
 }
 
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+/// The explain report as text: the per-operator table, then the per-edge
+/// flow and state-residency rows when the run kept those registries (Mitos
+/// engines) and the plan is at hand.
+fn explain_text(outcome: &mitos::Outcome, graph: Option<&LogicalGraph>) -> String {
+    let flow_rows = match (outcome.flow(), graph) {
+        (Some(f), Some(g)) => f.explain_rows(g),
+        _ => String::new(),
+    };
+    let mem_rows = outcome.mem().map(|m| m.explain_rows()).unwrap_or_default();
+    format!("{}{flow_rows}{mem_rows}", outcome.explain())
 }
 
-/// `mitos explain --json`: the explain report as deterministic,
-/// hand-rolled JSON — run totals, per-operator counters, the recovery
-/// summary when observability recorded one, and the per-edge flow and
-/// state-residency reports (`null` on engines without a Mitos data
-/// plane).
+/// `mitos explain --json`: run totals, per-operator counters, the
+/// observability counters when the run recorded them, and the per-edge
+/// flow and state-residency reports (`null` on engines without a Mitos
+/// data plane).
 fn explain_json(
     outcome: &mitos::Outcome,
     label: &str,
     machines: u16,
-    func: &ir::FuncIr,
-    engine_cfg: &EngineConfig,
+    graph: &LogicalGraph,
 ) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"engine\":{},\"machines\":{machines},\"millis\":{:.6},\
-         \"path_blocks\":{},\"decisions\":{},\"hoist_hits\":{},\
-         \"data_messages\":{},\"template_hits\":{},\"template_misses\":{},\
-         \"template_invalidations\":{},\"template_hit_rate\":{:.6},",
-        json_str(label),
-        outcome.millis(),
-        outcome.path.len(),
-        outcome.decisions,
-        outcome.op_stats.iter().map(|s| s.hoist_hits).sum::<u64>(),
-        outcome.data_messages,
-        outcome.template_hits,
-        outcome.template_misses,
-        outcome.template_invalidations,
-        outcome.template_hit_rate(),
-    );
-    out.push_str("\"ops\":[");
-    for (i, s) in outcome.op_stats.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+    expo::object(|j| {
+        j.field_str("engine", label)
+            .field("machines", machines)
+            .field("millis", format_args!("{:.6}", outcome.millis()))
+            .field("path_blocks", outcome.path.len())
+            .field("decisions", outcome.decisions)
+            .field(
+                "hoist_hits",
+                outcome.op_stats.iter().map(|s| s.hoist_hits).sum::<u64>(),
+            )
+            .field("data_messages", outcome.data_messages)
+            .field("template_hits", outcome.template_hits)
+            .field("template_misses", outcome.template_misses)
+            .field("template_invalidations", outcome.template_invalidations)
+            .field(
+                "template_hit_rate",
+                format_args!("{:.6}", outcome.template_hit_rate()),
+            );
+        j.key("ops").arr(|j| {
+            for s in &outcome.op_stats {
+                j.obj(|j| {
+                    j.field("op", s.op)
+                        .field_str("name", &s.name)
+                        .field_str("kind", &s.kind)
+                        .field("instances", s.instances)
+                        .field("emitted", s.emitted)
+                        .field("hoist_hits", s.hoist_hits);
+                });
+            }
+        });
+        if let Some(obs) = &outcome.obs {
+            let m = &obs.metrics;
+            j.key("metrics").obj(|j| {
+                j.field("decisions_broadcast", m.decisions_broadcast)
+                    .field("path_appends", m.path_appends)
+                    .field("steps_released", m.steps_released)
+                    .field(
+                        "bags_opened",
+                        m.ops.iter().map(|o| o.bags_opened).sum::<u64>(),
+                    )
+                    .field("elements_emitted", m.total_emitted())
+                    .field(
+                        "elements_discarded",
+                        m.ops.iter().map(|o| o.elements_discarded).sum::<u64>(),
+                    )
+                    .field("conditional_dropped", m.total_cond_dropped())
+                    .field("sink_written", m.total_sink_written())
+                    .field("retransmissions", m.retransmits)
+                    .field("duplicates_dropped", m.dup_msgs_dropped);
+            });
         }
-        let _ = write!(
-            out,
-            "{{\"op\":{},\"name\":{},\"kind\":{},\"instances\":{},\
-             \"emitted\":{},\"hoist_hits\":{}}}",
-            s.op,
-            json_str(&s.name),
-            json_str(&s.kind),
-            s.instances,
-            s.emitted,
-            s.hoist_hits,
-        );
-    }
-    out.push_str("],");
-    if let Some(obs) = &outcome.obs {
-        let m = &obs.metrics;
-        let _ = write!(
-            out,
-            "\"metrics\":{{\"decisions_broadcast\":{},\"path_appends\":{},\
-             \"steps_released\":{},\"bags_opened\":{},\"elements_emitted\":{},\
-             \"elements_discarded\":{},\"conditional_dropped\":{},\
-             \"sink_written\":{},\"retransmissions\":{},\
-             \"duplicates_dropped\":{}}},",
-            m.decisions_broadcast,
-            m.path_appends,
-            m.steps_released,
-            m.ops.iter().map(|o| o.bags_opened).sum::<u64>(),
-            m.total_emitted(),
-            m.ops.iter().map(|o| o.elements_discarded).sum::<u64>(),
-            m.total_cond_dropped(),
-            m.total_sink_written(),
-            m.retransmits,
-            m.dup_msgs_dropped,
-        );
-    }
-    let graph = mitos::core::planned_graph(func, engine_cfg).ok();
-    let flow = match (outcome.flow(), &graph) {
-        (Some(f), Some(g)) => f.to_json(g),
-        _ => "null".to_string(),
-    };
-    let mem = match (outcome.mem(), &graph) {
-        (Some(m), Some(g)) => m.to_json(g),
-        _ => "null".to_string(),
-    };
-    let _ = write!(out, "\"flow\":{flow},\"mem\":{mem}");
-    out.push('}');
-    out
+        let flow = outcome.flow().map(|f| f.to_json(graph));
+        let mem = outcome.mem().map(|m| m.to_json(graph));
+        j.field("flow", flow.as_deref().unwrap_or("null"))
+            .field("mem", mem.as_deref().unwrap_or("null"));
+    })
 }
 
-/// `mitos trace-tree --json`: the causal span trees as deterministic,
-/// hand-rolled JSON. Span ids are already deterministic (see
-/// [`mitos::core::obs::span`]); under the simulator the timestamps are
-/// virtual, so the whole document is bit-stable across runs.
-fn trees_json(trees: &[mitos::core::StepTree], op_names: &[String]) -> String {
-    use std::fmt::Write as _;
-    let span_json = |out: &mut String, s: &mitos::core::obs::span::Span| {
-        let op = if s.op == u32::MAX {
-            "null".to_string()
-        } else {
-            s.op.to_string()
-        };
-        let name = op_names.get(s.op as usize).map_or("", |n| n.as_str());
-        let _ = write!(
-            out,
-            "{{\"id\":{},\"parent\":{},\"kind\":{},\"machine\":{},\"op\":{op},\
-             \"op_name\":{},\"start_ns\":{},\"end_ns\":{},\"attempts\":{},\
-             \"label\":{},\"detail\":{}}}",
-            s.id,
-            s.parent,
-            json_str(s.kind.label()),
-            s.machine,
-            json_str(name),
-            s.start_ns,
-            s.end_ns,
-            s.attempts,
-            json_str(&s.label),
-            json_str(&s.detail),
-        );
-    };
-    let mut out = String::from("{\"steps\":[");
-    for (i, tree) in trees.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"step\":{},\"block\":{},\"decided\":{},\"spans\":[",
-            tree.step, tree.block, tree.decided,
-        );
-        for (j, s) in tree.spans.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            span_json(&mut out, s);
-        }
-        out.push_str("],\"orphans\":[");
-        for (j, s) in tree.orphans.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            span_json(&mut out, s);
-        }
-        out.push_str("]}");
-    }
-    let _ = write!(
-        out,
-        "],\"step_count\":{},\"span_count\":{},\"orphan_count\":{}}}",
-        trees.len(),
-        trees.iter().map(|t| t.spans.len()).sum::<usize>(),
-        trees.iter().map(|t| t.orphans.len()).sum::<usize>(),
-    );
-    out
-}
-
-/// Machine-readable (`--json`) and Graphviz (`--dot out.dot`) output
-/// options shared by every report subcommand (`explain`, `flow`, `mem`,
-/// `profile`, `trace-tree`): one parser, so the flags spell and behave
-/// identically everywhere.
-#[derive(Default)]
-struct ReportOpts {
-    /// Print the report as deterministic JSON on stdout.
+/// `mitos trace-tree`: the causal span trees of the traced steps (only
+/// step `step` when given), as text or as JSON. Span ids are
+/// deterministic (see [`mitos::core::obs::span`]) and under the simulator
+/// so are the timestamps, so both forms are bit-stable across runs.
+fn trace_tree_report(
+    outcome: &mitos::Outcome,
+    step: Option<u32>,
     json: bool,
-    /// Write the subcommand's DOT overlay to this path.
-    dot: Option<String>,
+) -> Result<String, String> {
+    let trees = outcome
+        .trace_trees()
+        .ok_or("run produced no trace for trace-tree")?;
+    // Operator display names, indexed by operator id.
+    let max_op = outcome.op_stats.iter().map(|s| s.op).max().unwrap_or(0);
+    let mut op_names = vec![String::new(); max_op as usize + 1];
+    for s in &outcome.op_stats {
+        op_names[s.op as usize] = format!("{} ({})", s.name, s.kind);
+    }
+    let all: Vec<&StepTree> = trees.iter().collect();
+    let selected: Vec<&StepTree> = all
+        .iter()
+        .copied()
+        .filter(|t| step.is_none_or(|s| s == t.step))
+        .collect();
+    if let (Some(s), true) = (step, selected.is_empty()) {
+        return Err(format!(
+            "no step {s} in this run ({} steps traced)",
+            trees.len()
+        ));
+    }
+    let counts = |trees: &[&StepTree]| {
+        (
+            trees.len(),
+            trees.iter().map(|t| t.spans.len()).sum::<usize>(),
+            trees.iter().map(|t| t.orphans.len()).sum::<usize>(),
+        )
+    };
+    if !json {
+        let mut out: String = selected
+            .iter()
+            .map(|t| mitos::core::render_tree(t, &op_names))
+            .collect();
+        let (steps, spans, orphans) = counts(&all);
+        out.push_str(&format!(
+            "{steps} step(s), {spans} span(s), {orphans} orphan(s)\n"
+        ));
+        return Ok(out);
+    }
+    let span_json = |j: &mut expo::Json, s: &Span| {
+        j.obj(|j| {
+            j.field("id", s.id)
+                .field("parent", s.parent)
+                .field_str("kind", s.kind.label())
+                .field("machine", s.machine);
+            match s.op {
+                u32::MAX => j.field("op", "null"),
+                op => j.field("op", op),
+            };
+            j.field_str(
+                "op_name",
+                op_names.get(s.op as usize).map_or("", |n| n.as_str()),
+            )
+            .field("start_ns", s.start_ns)
+            .field("end_ns", s.end_ns)
+            .field("attempts", s.attempts)
+            .field_str("label", &s.label)
+            .field_str("detail", &s.detail);
+        });
+    };
+    let (steps, spans, orphans) = counts(&selected);
+    Ok(expo::object(|j| {
+        j.key("steps").arr(|j| {
+            for tree in &selected {
+                j.obj(|j| {
+                    j.field("step", tree.step)
+                        .field("block", tree.block)
+                        .field("decided", tree.decided);
+                    j.key("spans")
+                        .arr(|j| tree.spans.iter().for_each(|s| span_json(j, s)));
+                    j.key("orphans")
+                        .arr(|j| tree.orphans.iter().for_each(|s| span_json(j, s)));
+                });
+            }
+        });
+        j.field("step_count", steps)
+            .field("span_count", spans)
+            .field("orphan_count", orphans);
+    }))
 }
 
-impl ReportOpts {
-    /// Consumes `args[*i]` — `--json`, or `--dot` plus its path operand
-    /// (advancing `*i` past it) — exiting with usage on a missing operand.
-    fn consume(&mut self, args: &[String], i: &mut usize) {
-        match args[*i].as_str() {
-            "--json" => self.json = true,
-            "--dot" => {
-                *i += 1;
-                self.dot = Some(args.get(*i).unwrap_or_else(|| usage()).clone());
-            }
-            _ => usage(),
-        }
+/// The operand of the flag at `args[*i]`, parsed; advances `*i` past it
+/// and exits with usage when it is missing or malformed.
+fn operand<T: std::str::FromStr>(args: &[String], i: &mut usize) -> T {
+    *i += 1;
+    args.get(*i)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(|| usage())
+}
+
+/// A `--fault-*` probability operand, which must lie in `[0, 1]`.
+fn probability(args: &[String], i: &mut usize) -> f64 {
+    let p: f64 = operand(args, i);
+    if !(0.0..=1.0).contains(&p) {
+        usage();
     }
+    p
 }
 
 /// Writes a report subcommand's DOT overlay to `path`; `what` names the
@@ -335,26 +334,6 @@ fn main() -> ExitCode {
             print!("{}", ir::pretty(&func));
             ExitCode::SUCCESS
         }
-        "graph" => {
-            // Figure-3b-style DOT rendering of the single dataflow job —
-            // the plan the engine actually runs, i.e. post-fusion unless
-            // --no-fuse.
-            let no_fuse = args[2..].iter().any(|a| a == "--no-fuse");
-            let cfg = EngineConfig::new().with_fusion(!no_fuse);
-            match mitos::core::planned_graph(&func, &cfg) {
-                Ok(graph) => {
-                    print!(
-                        "{}",
-                        mitos::core::to_dot(&graph, &mitos::core::DotOverlay::default())
-                    );
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
         "check" => {
             println!(
                 "compiles: yes ({} basic blocks, {} operators)",
@@ -372,13 +351,13 @@ fn main() -> ExitCode {
             }
             ExitCode::SUCCESS
         }
-        "run" | "explain" | "flow" | "mem" | "profile" | "trace-tree" => {
+        "run" | "graph" | "explain" | "flow" | "mem" | "profile" | "trace-tree" => {
             let explain_cmd = command == "explain";
-            let flow_cmd = command == "flow";
-            let mem_cmd = command == "mem";
-            let profile_cmd = command == "profile";
             let tracetree_cmd = command == "trace-tree";
-            let report_cmd = explain_cmd || flow_cmd || mem_cmd || profile_cmd || tracetree_cmd;
+            let report_cmd = matches!(
+                command,
+                "explain" | "flow" | "mem" | "profile" | "trace-tree"
+            );
             let mut machines: u16 = 4;
             let mut engine = Engine::Mitos;
             let mut driver = Driver::Sim;
@@ -388,8 +367,8 @@ fn main() -> ExitCode {
             let mut trace_path: Option<String> = None;
             let mut metrics_out: Option<String> = None;
             let mut step_filter: Option<u32> = None;
-            let mut profile_json: Option<String> = None;
-            let mut report = ReportOpts::default();
+            let mut json = false;
+            let mut dot: Option<String> = None;
             let mut combiners = false;
             let mut no_fuse = false;
             let mut no_templates = false;
@@ -399,85 +378,48 @@ fn main() -> ExitCode {
             let mut watch = false;
             let mut interval_ms: u64 = 200;
             let mut deadline_ms: Option<u64> = None;
-            let mut fault_drop: f64 = 0.0;
-            let mut fault_dup: f64 = 0.0;
-            let mut fault_reorder: f64 = 0.0;
-            let mut fault_partitions: Vec<(u16, u16, u64, u64)> = Vec::new();
-            let mut fault_seed: Option<u64> = None;
-            let mut fault_no_retransmit = false;
-            let mut fault_withhold_decisions = false;
-            let mut fault_flags = false;
+            let mut faults = mitos::FaultPlan::new();
             let mut i = 2;
             while i < args.len() {
                 match args[i].as_str() {
-                    "--machines" => {
-                        i += 1;
-                        machines = args
-                            .get(i)
-                            .and_then(|s| s.parse().ok())
-                            .unwrap_or_else(|| usage());
-                    }
+                    "--machines" => machines = operand(&args, &mut i),
                     "--engine" => {
-                        i += 1;
-                        engine = match args.get(i).map(String::as_str) {
-                            Some("mitos") => Engine::Mitos,
-                            Some("flink") => Engine::FlinkNative,
-                            Some("flink-jobs") => Engine::FlinkSeparateJobs,
-                            Some("spark") => Engine::Spark,
-                            Some("reference") => Engine::Reference,
+                        engine = match operand::<String>(&args, &mut i).as_str() {
+                            "mitos" => Engine::Mitos,
+                            "flink" => Engine::FlinkNative,
+                            "flink-jobs" => Engine::FlinkSeparateJobs,
+                            "spark" => Engine::Spark,
+                            "reference" => Engine::Reference,
                             _ => usage(),
                         };
                     }
                     "--driver" => {
-                        i += 1;
-                        driver = match args.get(i).map(String::as_str) {
-                            Some("sim") => Driver::Sim,
-                            Some("threads") => Driver::Threads,
+                        driver = match operand::<String>(&args, &mut i).as_str() {
+                            "sim" => Driver::Sim,
+                            "threads" => Driver::Threads,
                             _ => usage(),
                         };
                     }
                     "--input" => {
-                        i += 1;
-                        let spec = args.get(i).unwrap_or_else(|| usage());
+                        let spec: String = operand(&args, &mut i);
                         let (name, path) = spec.split_once('=').unwrap_or_else(|| usage());
                         inputs.push((name.to_string(), path.to_string()));
                     }
-                    "--output-dir" => {
-                        i += 1;
-                        output_dir = Some(args.get(i).unwrap_or_else(|| usage()).clone());
-                    }
+                    "--output-dir" => output_dir = Some(operand(&args, &mut i)),
                     "--explain" => explain = true,
-                    "--trace" => {
-                        i += 1;
-                        trace_path = Some(args.get(i).unwrap_or_else(|| usage()).clone());
-                    }
-                    "--metrics-out" => {
-                        i += 1;
-                        metrics_out = Some(args.get(i).unwrap_or_else(|| usage()).clone());
-                    }
+                    "--trace" => trace_path = Some(operand(&args, &mut i)),
+                    "--metrics-out" => metrics_out = Some(operand(&args, &mut i)),
                     // Restricting the tree rendering to one path position
                     // only makes sense under `mitos trace-tree`.
-                    "--step" if tracetree_cmd => {
-                        i += 1;
-                        step_filter = Some(
-                            args.get(i)
-                                .and_then(|s| s.parse().ok())
-                                .unwrap_or_else(|| usage()),
-                        );
-                    }
-                    // Profiler outputs only make sense where the profile
-                    // is computed: under `mitos profile`.
-                    "--profile-json" if profile_cmd => {
-                        i += 1;
-                        profile_json = Some(args.get(i).unwrap_or_else(|| usage()).clone());
-                    }
+                    "--step" if tracetree_cmd => step_filter = Some(operand(&args, &mut i)),
                     // Shared report options: every report subcommand takes
                     // --json (deterministic JSON on stdout) and --dot (that
                     // subcommand's overlay: observed counts under
                     // explain/trace-tree, edge heat under flow, node
                     // residency heat under mem, the critical path under
                     // profile).
-                    "--json" | "--dot" if report_cmd => report.consume(&args, &mut i),
+                    "--json" if report_cmd => json = true,
+                    "--dot" if report_cmd => dot = Some(operand(&args, &mut i)),
                     "--combiners" => combiners = true,
                     "--no-fuse" => no_fuse = true,
                     "--no-templates" => no_templates = true,
@@ -485,51 +427,13 @@ fn main() -> ExitCode {
                     "--no-hoist" => no_hoist = true,
                     "--progress" => progress = true,
                     "--watch" => watch = true,
-                    "--interval" => {
-                        i += 1;
-                        interval_ms = args
-                            .get(i)
-                            .and_then(|s| s.parse().ok())
-                            .unwrap_or_else(|| usage());
-                    }
-                    "--deadline" => {
-                        i += 1;
-                        deadline_ms = Some(
-                            args.get(i)
-                                .and_then(|s| s.parse().ok())
-                                .unwrap_or_else(|| usage()),
-                        );
-                    }
-                    "--fault-drop" => {
-                        i += 1;
-                        fault_drop = args
-                            .get(i)
-                            .and_then(|s| s.parse().ok())
-                            .filter(|p| (0.0..=1.0).contains(p))
-                            .unwrap_or_else(|| usage());
-                        fault_flags = true;
-                    }
-                    "--fault-dup" => {
-                        i += 1;
-                        fault_dup = args
-                            .get(i)
-                            .and_then(|s| s.parse().ok())
-                            .filter(|p| (0.0..=1.0).contains(p))
-                            .unwrap_or_else(|| usage());
-                        fault_flags = true;
-                    }
-                    "--fault-reorder" => {
-                        i += 1;
-                        fault_reorder = args
-                            .get(i)
-                            .and_then(|s| s.parse().ok())
-                            .filter(|p| (0.0..=1.0).contains(p))
-                            .unwrap_or_else(|| usage());
-                        fault_flags = true;
-                    }
+                    "--interval" => interval_ms = operand(&args, &mut i),
+                    "--deadline" => deadline_ms = Some(operand(&args, &mut i)),
+                    "--fault-drop" => faults.drop = probability(&args, &mut i),
+                    "--fault-dup" => faults.duplicate = probability(&args, &mut i),
+                    "--fault-reorder" => faults.reorder = probability(&args, &mut i),
                     "--fault-partition" => {
-                        i += 1;
-                        let spec = args.get(i).unwrap_or_else(|| usage());
+                        let spec: String = operand(&args, &mut i);
                         let parts: Vec<&str> = spec.split(':').collect();
                         let machine = |j: usize| parts.get(j).and_then(|s| s.parse::<u16>().ok());
                         let millis = |j: usize| {
@@ -540,29 +444,14 @@ fn main() -> ExitCode {
                         };
                         match (machine(0), machine(1), millis(2), millis(3)) {
                             (Some(a), Some(b), Some(from), Some(until)) if parts.len() == 4 => {
-                                fault_partitions.push((a, b, from, until));
+                                faults = faults.with_partition(a, b, from, until);
                             }
                             _ => usage(),
                         }
-                        fault_flags = true;
                     }
-                    "--fault-seed" => {
-                        i += 1;
-                        fault_seed = Some(
-                            args.get(i)
-                                .and_then(|s| s.parse().ok())
-                                .unwrap_or_else(|| usage()),
-                        );
-                        fault_flags = true;
-                    }
-                    "--fault-no-retransmit" => {
-                        fault_no_retransmit = true;
-                        fault_flags = true;
-                    }
-                    "--fault-withhold-decisions" => {
-                        fault_withhold_decisions = true;
-                        fault_flags = true;
-                    }
+                    "--fault-seed" => faults.seed = operand(&args, &mut i),
+                    "--fault-no-retransmit" => faults.retransmit = false,
+                    "--fault-withhold-decisions" => faults.withhold_decisions = true,
                     _ => usage(),
                 }
                 i += 1;
@@ -570,14 +459,16 @@ fn main() -> ExitCode {
             // Tracing, profiling, span trees and the phase-histogram
             // export need timestamps; a bare --explain only needs the
             // counters.
-            let obs =
-                if trace_path.is_some() || profile_cmd || tracetree_cmd || metrics_out.is_some() {
-                    ObsLevel::Trace
-                } else if explain {
-                    ObsLevel::Metrics
-                } else {
-                    ObsLevel::Off
-                };
+            let obs = if trace_path.is_some()
+                || matches!(command, "profile" | "trace-tree")
+                || metrics_out.is_some()
+            {
+                ObsLevel::Trace
+            } else if explain {
+                ObsLevel::Metrics
+            } else {
+                ObsLevel::Off
+            };
             // Reports, traces, live telemetry, Mitos knobs, the thread
             // driver and fault injection all exist only on Mitos; asking for
             // one elsewhere is a contradiction, not a warning.
@@ -594,25 +485,13 @@ fn main() -> ExitCode {
                 (no_pipeline, "--no-pipeline"),
                 (no_hoist, "--no-hoist"),
                 (driver == Driver::Threads, "--driver threads"),
-                (fault_flags, "--fault-*"),
+                (args.iter().any(|a| a.starts_with("--fault-")), "--fault-*"),
             ];
             if let Some(&(_, what)) = mitos_only.iter().find(|(on, _)| *on) {
                 if let Err(e) = engine.require_mitos(what) {
                     eprintln!("error: {e}");
                     return ExitCode::from(2);
                 }
-            }
-            let mut faults = mitos::FaultPlan::new()
-                .with_drop(fault_drop)
-                .with_duplicate(fault_dup)
-                .with_reorder(fault_reorder)
-                .with_retransmit(!fault_no_retransmit)
-                .with_withhold_decisions(fault_withhold_decisions);
-            if let Some(seed) = fault_seed {
-                faults = faults.with_seed(seed);
-            }
-            for (a, b, from_ns, until_ns) in fault_partitions {
-                faults = faults.with_partition(a, b, from_ns, until_ns);
             }
             let fs = InMemoryFs::new();
             for (name, path) in &inputs {
@@ -653,20 +532,27 @@ fn main() -> ExitCode {
                 .with_sample_interval_ns(sample_ms.saturating_mul(1_000_000))
                 .with_stall_deadline_ns(deadline_ms.map_or(0, |ms| ms.saturating_mul(1_000_000)))
                 .with_faults(faults);
-            // The watch table indexes operators by id, so it must see the
-            // plan the engine actually runs (post-fusion).
-            let graph_for_watch = if watch {
-                mitos::core::planned_graph(&func, &engine_cfg).ok()
-            } else {
-                None
-            };
-            let mut on_snapshot = |s: &mitos::Snapshot| {
-                if let Some(g) = &graph_for_watch {
-                    // Clear + home: a live-updating table like `top`.
-                    eprint!("\x1b[2J\x1b[H{}", mitos::core::watch_table(s, g));
-                } else if progress {
-                    eprintln!("{}", mitos::core::progress_line(s));
-                }
+            // The plan the engine runs (post-fusion): the watch table, the
+            // reports and their DOT overlays all index operators by its ids.
+            let graph = mitos::core::planned_graph(&func, &engine_cfg);
+            if command == "graph" {
+                // Figure-3b-style DOT rendering of the single dataflow job.
+                return match &graph {
+                    Ok(g) => {
+                        print!("{}", mitos::core::to_dot(g, &DotOverlay::default()));
+                        ExitCode::SUCCESS
+                    }
+                    Err(e) => {
+                        eprintln!("error: {e}");
+                        ExitCode::FAILURE
+                    }
+                };
+            }
+            let mut on_snapshot = |s: &mitos::Snapshot| match &graph {
+                // Clear + home: a live-updating table like `top`.
+                Ok(g) if watch => eprint!("\x1b[2J\x1b[H{}", mitos::core::watch_table(s, g)),
+                _ if progress => eprintln!("{}", mitos::core::progress_line(s)),
+                _ => {}
             };
             let label = match driver {
                 Driver::Sim => engine.to_string(),
@@ -692,119 +578,15 @@ fn main() -> ExitCode {
                                 .map_or(0, |s| s.total_elements_out()),
                         );
                     }
-                    if explain {
-                        // Per-edge data-plane rows ride along whenever the
-                        // run had flow accounting (Mitos engines).
-                        let flow_rows = outcome
-                            .flow()
-                            .and_then(|f| {
-                                let g = mitos::core::planned_graph(&func, &engine_cfg).ok()?;
-                                Some(f.explain_rows(&g))
-                            })
-                            .unwrap_or_default();
-                        // Residency rows likewise (always-on mem registry).
-                        let mem_rows = outcome.mem().map(|m| m.explain_rows()).unwrap_or_default();
-                        // The subcommand's report is the product: stdout.
-                        // As a flag on `run` it is diagnostics: stderr.
-                        if explain_cmd && report.json {
-                            println!(
-                                "{}",
-                                explain_json(&outcome, &label, machines, &func, &engine_cfg)
-                            );
-                        } else if explain_cmd {
-                            print!("{}{}{}", outcome.explain(), flow_rows, mem_rows);
-                        } else {
-                            eprint!("{}{}{}", outcome.explain(), flow_rows, mem_rows);
-                        }
-                        if explain_cmd {
-                            if let Some(path) = &report.dot {
-                                let graph = match mitos::core::planned_graph(&func, &engine_cfg) {
-                                    Ok(g) => g,
-                                    Err(e) => {
-                                        eprintln!("error: {e}");
-                                        return ExitCode::FAILURE;
-                                    }
-                                };
-                                let dot = mitos::core::to_dot(
-                                    &graph,
-                                    &mitos::core::DotOverlay {
-                                        metrics: outcome.obs.as_ref().map(|o| &o.metrics),
-                                        ..Default::default()
-                                    },
-                                );
-                                if let Err(code) = write_dot(path, dot, "metrics overlay") {
-                                    return code;
-                                }
-                            }
-                        }
-                    }
-                    if flow_cmd {
-                        // The engine gate above makes flow presence an
-                        // invariant here, not a user error.
-                        let flow = outcome.flow().expect("Mitos engines account flow");
-                        let graph = match mitos::core::planned_graph(&func, &engine_cfg) {
-                            Ok(g) => g,
-                            Err(e) => {
-                                eprintln!("error: {e}");
-                                return ExitCode::FAILURE;
-                            }
-                        };
-                        if report.json {
-                            println!("{}", flow.to_json(&graph));
-                        } else {
-                            print!("{}", flow.render(&graph));
-                        }
-                        if let Some(path) = &report.dot {
-                            let dot = mitos::core::to_dot(
-                                &graph,
-                                &mitos::core::DotOverlay {
-                                    flow: Some(flow),
-                                    ..Default::default()
-                                },
-                            );
-                            if let Err(code) = write_dot(path, dot, "flow heat-overlay") {
-                                return code;
-                            }
-                        }
-                        return ExitCode::SUCCESS;
-                    }
-                    if mem_cmd {
-                        // The engine gate above makes residency accounting
-                        // an invariant here, not a user error.
-                        let mem = outcome.mem().expect("Mitos engines account residency");
-                        let graph = match mitos::core::planned_graph(&func, &engine_cfg) {
-                            Ok(g) => g,
-                            Err(e) => {
-                                eprintln!("error: {e}");
-                                return ExitCode::FAILURE;
-                            }
-                        };
-                        if report.json {
-                            println!("{}", mem.to_json(&graph));
-                        } else {
-                            print!("{}", mem.render(&graph));
-                        }
-                        if let Some(path) = &report.dot {
-                            let dot = mitos::core::to_dot(
-                                &graph,
-                                &mitos::core::DotOverlay {
-                                    mem: Some(mem),
-                                    ..Default::default()
-                                },
-                            );
-                            if let Err(code) = write_dot(path, dot, "mem residency") {
-                                return code;
-                            }
-                        }
-                        return ExitCode::SUCCESS;
-                    }
+                    // Side outputs come first, so every subcommand writes
+                    // them before its report.
                     if let Some(path) = &trace_path {
                         // The engine gate above makes a trace an invariant
                         // here, not a user error.
-                        let json = outcome
+                        let trace = outcome
                             .chrome_trace()
                             .expect("Mitos runs at Trace record events");
-                        if let Err(e) = std::fs::write(path, json) {
+                        if let Err(e) = std::fs::write(path, trace) {
                             eprintln!("error: cannot write trace {path}: {e}");
                             return ExitCode::FAILURE;
                         }
@@ -820,38 +602,33 @@ fn main() -> ExitCode {
                             return ExitCode::FAILURE;
                         };
                         let mut prom = histos.prometheus();
-                        // Control-plane template-cache series.
-                        prom.push_str(
-                            "# HELP mitos_template_lookups_total Template-cache lookup \
-                             outcomes by bag starts.\n\
-                             # TYPE mitos_template_lookups_total counter\n",
+                        expo::family(
+                            &mut prom,
+                            "mitos_template_lookups_total",
+                            "Template-cache lookup outcomes by bag starts.",
+                            Kind::Counter,
+                            [
+                                ("hit", outcome.template_hits),
+                                ("miss", outcome.template_misses),
+                                ("invalidation", outcome.template_invalidations),
+                            ]
+                            .map(|(o, n)| (expo::labels(&[("outcome", &o)]), n)),
                         );
-                        prom.push_str(&format!(
-                            "mitos_template_lookups_total{{outcome=\"hit\"}} {}\n\
-                             mitos_template_lookups_total{{outcome=\"miss\"}} {}\n\
-                             mitos_template_lookups_total{{outcome=\"invalidation\"}} {}\n",
-                            outcome.template_hits,
-                            outcome.template_misses,
-                            outcome.template_invalidations,
-                        ));
-                        prom.push_str(
-                            "# HELP mitos_template_hit_rate Fraction of bag starts \
-                             served by template replay.\n\
-                             # TYPE mitos_template_hit_rate gauge\n",
+                        expo::family(
+                            &mut prom,
+                            "mitos_template_hit_rate",
+                            "Fraction of bag starts served by template replay.",
+                            Kind::Gauge,
+                            [("", format!("{:.6}", outcome.template_hit_rate()))],
                         );
-                        prom.push_str(&format!(
-                            "mitos_template_hit_rate {:.6}\n",
-                            outcome.template_hit_rate()
-                        ));
                         // Per-edge flow and per-class residency series ride
-                        // along with the phase histograms in the same
-                        // exposition file.
-                        if let Ok(g) = mitos::core::planned_graph(&func, &engine_cfg) {
+                        // along in the same exposition file.
+                        if let Ok(g) = &graph {
                             if let Some(f) = outcome.flow() {
-                                prom.push_str(&f.prometheus(&g));
+                                prom.push_str(&f.prometheus(g));
                             }
                             if let Some(m) = outcome.mem() {
-                                prom.push_str(&m.prometheus(&g));
+                                prom.push_str(&m.prometheus(g));
                             }
                         }
                         if let Err(e) = std::fs::write(path, prom) {
@@ -864,111 +641,117 @@ fn main() -> ExitCode {
                             histos.steps
                         );
                     }
-                    if tracetree_cmd {
-                        let Some(trees) = outcome.trace_trees() else {
-                            eprintln!("error: run produced no trace for trace-tree");
-                            return ExitCode::FAILURE;
-                        };
-                        // Operator display names, indexed by operator id.
-                        let max_op = outcome.op_stats.iter().map(|s| s.op).max().unwrap_or(0);
-                        let mut op_names = vec![String::new(); max_op as usize + 1];
-                        for s in &outcome.op_stats {
-                            op_names[s.op as usize] = format!("{} ({})", s.name, s.kind);
-                        }
-                        let selected: Vec<_> = trees
-                            .iter()
-                            .filter(|t| step_filter.is_none_or(|s| s == t.step))
-                            .cloned()
-                            .collect();
-                        if let Some(s) = step_filter {
-                            if selected.is_empty() {
-                                eprintln!(
-                                    "error: no step {s} in this run ({} steps traced)",
-                                    trees.len()
-                                );
+                    // As a flag on `run` (or beside another report) the
+                    // explain table is diagnostics: stderr.
+                    if explain && !explain_cmd {
+                        eprint!("{}", explain_text(&outcome, graph.as_ref().ok()));
+                    }
+                    if report_cmd {
+                        let graph = match &graph {
+                            Ok(g) => g,
+                            Err(e) => {
+                                eprintln!("error: {e}");
                                 return ExitCode::FAILURE;
                             }
-                        }
-                        if let Some(path) = &report.dot {
-                            // The span trees have no graph rendering of
-                            // their own; the overlay carries the run's
-                            // observed counts on the plan that ran.
-                            let graph = match mitos::core::planned_graph(&func, &engine_cfg) {
-                                Ok(g) => g,
+                        };
+                        // The subcommand's report is the product: stdout,
+                        // as text or JSON, plus its DOT overlay on the plan
+                        // that ran. The engine gate above makes flow and
+                        // residency accounting invariants here.
+                        let metrics = outcome.obs.as_ref().map(|o| &o.metrics);
+                        let profile;
+                        let (body, overlay, what) = match command {
+                            "explain" => (
+                                if json {
+                                    explain_json(&outcome, &label, machines, graph)
+                                } else {
+                                    explain_text(&outcome, Some(graph))
+                                },
+                                DotOverlay {
+                                    metrics,
+                                    ..Default::default()
+                                },
+                                "metrics overlay",
+                            ),
+                            "flow" => {
+                                let flow = outcome.flow().expect("Mitos engines account flow");
+                                (
+                                    if json {
+                                        flow.to_json(graph)
+                                    } else {
+                                        flow.render(graph)
+                                    },
+                                    DotOverlay {
+                                        flow: Some(flow),
+                                        ..Default::default()
+                                    },
+                                    "flow heat-overlay",
+                                )
+                            }
+                            "mem" => {
+                                let mem = outcome.mem().expect("Mitos engines account residency");
+                                (
+                                    if json {
+                                        mem.to_json(graph)
+                                    } else {
+                                        mem.render(graph)
+                                    },
+                                    DotOverlay {
+                                        mem: Some(mem),
+                                        ..Default::default()
+                                    },
+                                    "mem residency",
+                                )
+                            }
+                            "profile" => {
+                                let Some(p) = outcome.profile() else {
+                                    eprintln!("error: run produced no trace to profile");
+                                    return ExitCode::FAILURE;
+                                };
+                                profile = p;
+                                let ops = &outcome.op_stats;
+                                (
+                                    if json {
+                                        profile.to_json(ops)
+                                    } else {
+                                        profile.render(ops)
+                                    },
+                                    DotOverlay {
+                                        metrics,
+                                        critical: Some(&profile.critical),
+                                        ..Default::default()
+                                    },
+                                    "critical-path",
+                                )
+                            }
+                            // The span trees have no graph rendering of their
+                            // own; the overlay carries the observed counts.
+                            _ => match trace_tree_report(&outcome, step_filter, json) {
+                                Ok(body) => (
+                                    body,
+                                    DotOverlay {
+                                        metrics,
+                                        ..Default::default()
+                                    },
+                                    "metrics overlay",
+                                ),
                                 Err(e) => {
                                     eprintln!("error: {e}");
                                     return ExitCode::FAILURE;
                                 }
-                            };
-                            let dot = mitos::core::to_dot(
-                                &graph,
-                                &mitos::core::DotOverlay {
-                                    metrics: outcome.obs.as_ref().map(|o| &o.metrics),
-                                    ..Default::default()
-                                },
-                            );
-                            if let Err(code) = write_dot(path, dot, "metrics overlay") {
-                                return code;
-                            }
-                        }
-                        if report.json {
-                            println!("{}", trees_json(&selected, &op_names));
-                            return ExitCode::SUCCESS;
-                        }
-                        for tree in &selected {
-                            print!("{}", mitos::core::render_tree(tree, &op_names));
-                        }
-                        println!(
-                            "{} step(s), {} span(s), {} orphan(s)",
-                            trees.len(),
-                            trees.iter().map(|t| t.spans.len()).sum::<usize>(),
-                            trees.iter().map(|t| t.orphans.len()).sum::<usize>(),
-                        );
-                        return ExitCode::SUCCESS;
-                    }
-                    if profile_cmd {
-                        let Some(profile) = outcome.profile() else {
-                            eprintln!("error: run produced no trace to profile");
-                            return ExitCode::FAILURE;
+                            },
                         };
-                        if report.json {
-                            println!("{}", profile.to_json(&outcome.op_stats));
+                        if json {
+                            println!("{body}");
                         } else {
-                            print!("{}", profile.render(&outcome.op_stats));
+                            print!("{body}");
                         }
-                        if let Some(path) = &profile_json {
-                            if let Err(e) = std::fs::write(path, profile.to_json(&outcome.op_stats))
-                            {
-                                eprintln!("error: cannot write profile {path}: {e}");
-                                return ExitCode::FAILURE;
-                            }
-                            eprintln!("wrote profile JSON {path}");
-                        }
-                        if let Some(path) = &report.dot {
-                            // Annotate the plan that ran, so the overlay's
-                            // operator ids match the metrics registry.
-                            let graph = match mitos::core::planned_graph(&func, &engine_cfg) {
-                                Ok(g) => g,
-                                Err(e) => {
-                                    eprintln!("error: {e}");
-                                    return ExitCode::FAILURE;
-                                }
-                            };
-                            let dot = mitos::core::to_dot(
-                                &graph,
-                                &mitos::core::DotOverlay {
-                                    metrics: outcome.obs.as_ref().map(|o| &o.metrics),
-                                    critical: Some(&profile.critical),
-                                    ..Default::default()
-                                },
-                            );
-                            if let Err(code) = write_dot(path, dot, "critical-path") {
+                        if let Some(path) = &dot {
+                            let dot = mitos::core::to_dot(graph, &overlay);
+                            if let Err(code) = write_dot(path, dot, what) {
                                 return code;
                             }
                         }
-                        return ExitCode::SUCCESS;
-                    }
-                    if explain_cmd {
                         return ExitCode::SUCCESS;
                     }
                     for (tag, values) in &outcome.outputs {

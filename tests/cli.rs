@@ -880,3 +880,43 @@ fn reports_match_goldens() {
     stdout_of(&["run", "--metrics-out", prom.to_str().unwrap()]);
     check("run.prom", std::fs::read_to_string(&prom).unwrap());
 }
+
+/// Every report subcommand writes the side outputs it is asked for, as
+/// `run` does: `--trace` (a Chrome trace) and `--metrics-out` (the
+/// Prometheus exposition).
+#[test]
+fn report_subcommands_write_trace_and_metrics() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let program = root.join("examples/nested_loops.mt");
+    let dir = std::env::temp_dir().join("mitos-cli-tests/side-outputs");
+    std::fs::create_dir_all(&dir).unwrap();
+    for cmd in ["explain", "flow", "mem", "profile", "trace-tree"] {
+        let trace = dir.join(format!("{cmd}.json"));
+        let prom = dir.join(format!("{cmd}.prom"));
+        let _ = std::fs::remove_file(&trace);
+        let _ = std::fs::remove_file(&prom);
+        let output = mitos()
+            .args([
+                cmd,
+                program.to_str().unwrap(),
+                "--machines",
+                "2",
+                "--trace",
+                trace.to_str().unwrap(),
+                "--metrics-out",
+                prom.to_str().unwrap(),
+            ])
+            .output()
+            .unwrap();
+        assert!(output.status.success(), "{cmd}: {output:?}");
+        let text = std::fs::read_to_string(&trace)
+            .unwrap_or_else(|e| panic!("{cmd}: no --trace file: {e}"));
+        mitos::core::obs::validate_json(&text).unwrap_or_else(|e| panic!("{cmd}: {e}"));
+        let metrics = std::fs::read_to_string(&prom)
+            .unwrap_or_else(|e| panic!("{cmd}: no --metrics-out file: {e}"));
+        assert!(
+            metrics.contains("# TYPE mitos_phase_latency_ns histogram"),
+            "{cmd}: {metrics}"
+        );
+    }
+}
