@@ -1,8 +1,11 @@
 //! The Mitos engine entry points: compile a program, build the single
 //! cyclic dataflow job, and execute it on the simulated cluster.
 
+use crate::fuse::planned_graph;
 use crate::graph::LogicalGraph;
-use crate::obs::{self, ObsLevel, ObsReport};
+use crate::obs::{
+    self, FlightRecorder, FlowRegistry, MemRegistry, ObsLevel, ObsReport, Snapshot, TelemetryHub,
+};
 use crate::path::PathRules;
 use crate::rt::{EngineConfig, EngineShared, Msg, Net, RuntimeError, NS_PER_MS, OUTPUT_PREFIX};
 use crate::worker::Worker;
@@ -147,6 +150,141 @@ pub fn extract_outputs(fs: &InMemoryFs) -> BTreeMap<String, Vec<Value>> {
     outputs
 }
 
+/// One Mitos job's lifecycle, shared by both drivers: [`Job::new`] plans
+/// the graph and builds the state every worker shares plus one worker per
+/// machine, the driver runs its own loop over those workers (calling
+/// `Job::sample` for live telemetry), and `Job::finish` checks how the run
+/// ended and builds the [`EngineResult`].
+pub struct Job {
+    shared: Arc<EngineShared>,
+    snapshots: Vec<Snapshot>,
+}
+
+/// How a driver's loop ended, handed to `Job::finish`.
+pub(crate) struct DriverEnd {
+    /// The driver's report: the simulator's statistics, or a threaded
+    /// run's wall-clock duration and fault-layer counters. Becomes
+    /// [`EngineResult::sim`]; its fault counters feed the stall report.
+    pub(crate) sim: SimReport,
+    /// `(deadline_ns, idle_ns)` when the stall watchdog aborted the run.
+    pub(crate) watchdog: Option<(u64, u64)>,
+}
+
+impl Job {
+    /// Plans `func` under `config` and builds the shared state (coordination
+    /// rules, telemetry hub, flow and memory registries, flight recorder)
+    /// and one [`Worker`] per machine. `machines` must be non-zero.
+    pub fn new(
+        func: &FuncIr,
+        fs: &InMemoryFs,
+        config: EngineConfig,
+        machines: u16,
+    ) -> Result<(Job, Vec<Worker>), RuntimeError> {
+        assert!(machines > 0, "a job needs at least one machine");
+        let graph = planned_graph(func, &config).map_err(|e| RuntimeError::new(e.message))?;
+        let shared = Arc::new(EngineShared {
+            rules: PathRules::build(&graph),
+            telemetry: TelemetryHub::new(machines, graph.nodes.len()),
+            flow: FlowRegistry::new(machines, graph.edges.len()),
+            mem: MemRegistry::new(machines, graph.nodes.len()),
+            flight: FlightRecorder::new(machines),
+            graph,
+            config,
+            fs: fs.clone(),
+            machines,
+        });
+        let workers = (0..machines)
+            .map(|m| Worker::new(shared.clone(), m))
+            .collect();
+        let job = Job {
+            shared,
+            snapshots: Vec::new(),
+        };
+        Ok((job, workers))
+    }
+
+    /// The state every worker of the job shares.
+    pub fn shared(&self) -> &EngineShared {
+        &self.shared
+    }
+
+    /// Takes one live-telemetry [`Snapshot`] at `t_ns`, hands it to
+    /// `on_snapshot` and keeps it for [`EngineResult::snapshots`].
+    pub(crate) fn sample(&mut self, t_ns: u64, on_snapshot: &mut dyn FnMut(&Snapshot)) {
+        let shared = &self.shared;
+        shared.mem.sample();
+        let mut s = shared.telemetry.snapshot(t_ns, self.snapshots.last());
+        s.hot_edge = shared.flow.hottest();
+        s.mem = shared.mem.watch_cell();
+        on_snapshot(&s);
+        self.snapshots.push(s);
+    }
+
+    /// Checks how the run ended, in one fixed order — a worker error (the
+    /// lowest-indexed worker's), the stall watchdog, a program that did not
+    /// exit, a host still holding bags — and diagnoses every stall the same
+    /// way. A clean end yields the [`EngineResult`].
+    pub(crate) fn finish(
+        self,
+        mut workers: Vec<Worker>,
+        end: DriverEnd,
+    ) -> Result<EngineResult, RuntimeError> {
+        if let Some(e) = workers.iter().find_map(|w| w.error.clone()) {
+            return Err(e);
+        }
+        let stall = if end.watchdog.is_some() {
+            Some("stall watchdog fired".to_string())
+        } else if workers.iter().any(|w| !w.path().exited()) {
+            Some("run quiesced before the program exited (runtime deadlock)".to_string())
+        } else {
+            let busy = workers.iter().position(|w| !w.idle());
+            busy.map(|m| format!("worker {m} still has in-flight bags after quiescence"))
+        };
+        let shared = &self.shared;
+        if let Some(reason) = stall {
+            let (deadline_ns, idle_ns) = end.watchdog.unwrap_or((0, 0));
+            let mut diag = obs::diagnose(&workers, deadline_ns, idle_ns);
+            diag.flight = shared.flight.dump_lines();
+            diag.backpressure = shared.flow.snapshot().backpressure_lines(&shared.graph);
+            diag.retained = shared.mem.snapshot().retained_lines();
+            // A fault-injected run names the injected faults: the plan
+            // summary plus what the driver's fault layer actually did.
+            if shared.config.faults.is_active() {
+                diag.fault = Some(obs::fault_note(
+                    &shared.config.faults,
+                    end.sim.faults_dropped,
+                    end.sim.faults_duplicated,
+                    end.sim.faults_reordered,
+                    workers.iter().map(Worker::retransmits).sum(),
+                ));
+            }
+            return Err(RuntimeError::stalled(reason, diag));
+        }
+        let level = shared.config.obs;
+        let obs_report = (level != ObsLevel::Off).then(|| {
+            let mut report = obs::merge_bufs(level, workers.iter_mut().map(Worker::take_obs));
+            obs::attach_topology(&mut report, &shared.graph);
+            report
+        });
+        Ok(EngineResult {
+            outputs: extract_outputs(&shared.fs),
+            path: workers[0].path().blocks().to_vec(),
+            sim: end.sim,
+            hoist_hits: workers.iter().map(Worker::hoist_hits).sum(),
+            template_hits: workers.iter().map(Worker::template_hits).sum(),
+            template_misses: workers.iter().map(Worker::template_misses).sum(),
+            template_invalidations: workers.iter().map(Worker::template_invalidations).sum(),
+            decisions: workers.iter().map(|w| w.decisions_broadcast).sum(),
+            data_messages: workers.iter().map(|w| w.data_messages).sum(),
+            op_stats: collect_op_stats(&shared.graph, &workers, shared.machines),
+            obs: obs_report,
+            snapshots: self.snapshots,
+            flow: shared.flow.snapshot(),
+            mem: shared.mem.snapshot(),
+        })
+    }
+}
+
 /// Runs a compiled SSA program as a single Mitos dataflow job on the
 /// simulated cluster. File effects land in `fs`; `output(..)` collections
 /// are extracted into the result.
@@ -160,147 +298,44 @@ pub fn run_sim(
 }
 
 /// Like [`run_sim`], additionally invoking `on_snapshot` for every live
-/// telemetry [`crate::obs::live::Snapshot`] when
-/// [`EngineConfig::sample_interval_ns`] is non-zero. Snapshots are taken
-/// at exact virtual-time multiples of the interval **between** events and
-/// charge zero virtual time, so the simulated result is bit-identical
-/// with sampling on or off and snapshot sequences are deterministic. A
-/// runtime deadlock (quiescence without program exit, e.g. a lost
-/// condition broadcast) is diagnosed via [`crate::obs::watchdog`] and the
-/// returned error carries the structured [`crate::obs::watchdog::StallReport`].
+/// telemetry [`Snapshot`] when [`EngineConfig::sample_interval_ns`] is
+/// non-zero. Snapshots are taken at exact virtual-time multiples of the
+/// interval **between** events and charge zero virtual time, so the
+/// simulated result is bit-identical with sampling on or off and snapshot
+/// sequences are deterministic. A runtime deadlock (quiescence without
+/// program exit, e.g. a lost condition broadcast) is diagnosed via
+/// [`crate::obs::watchdog`] and the returned error carries the structured
+/// [`crate::obs::watchdog::StallReport`].
 pub fn run_sim_live(
     func: &FuncIr,
     fs: &InMemoryFs,
     engine: EngineConfig,
     cluster: SimConfig,
-    on_snapshot: &mut dyn FnMut(&crate::obs::live::Snapshot),
+    on_snapshot: &mut dyn FnMut(&Snapshot),
 ) -> Result<EngineResult, RuntimeError> {
-    let graph =
-        crate::fuse::planned_graph(func, &engine).map_err(|e| RuntimeError::new(e.message))?;
-    let rules = PathRules::build(&graph);
-    let telemetry = crate::obs::live::TelemetryHub::new(cluster.machines, graph.nodes.len());
-    let flow = crate::obs::flow::FlowRegistry::new(cluster.machines, graph.edges.len());
-    let mem = crate::obs::mem::MemRegistry::new(cluster.machines, graph.nodes.len());
-    let shared = Arc::new(EngineShared {
-        graph,
-        rules,
-        config: engine,
-        fs: fs.clone(),
-        machines: cluster.machines,
-        telemetry,
-        flight: crate::obs::recorder::FlightRecorder::new(cluster.machines),
-        flow,
-        mem,
-    });
-    let workers = (0..cluster.machines)
-        .map(|m| Worker::new(shared.clone(), m))
-        .collect();
+    let (mut job, workers) = Job::new(func, fs, engine, cluster.machines)?;
     let mut sim = Sim::new(cluster, MitosWorld { workers });
-    if shared.config.faults.is_active() {
-        sim.set_fault_plan(shared.config.faults.clone());
+    let config = &job.shared.config;
+    if config.faults.is_active() {
+        sim.set_fault_plan(config.faults.clone());
     }
     for m in 0..cluster.machines {
         sim.inject(ActorId::new(m, 0), Msg::Start);
     }
-    let interval = shared.config.sample_interval_ns;
-    let mut snapshots: Vec<crate::obs::live::Snapshot> = Vec::new();
-    let report = if interval > 0 {
-        let hub = shared.clone();
-        sim.run_sampled(interval, |t, _world, depths| {
-            hub.flow.sample_queues(depths, interval);
-            hub.mem.sample();
-            let mut s = hub.telemetry.snapshot(t, snapshots.last());
-            s.hot_edge = hub.flow.hottest();
-            s.mem = hub.mem.watch_cell();
-            on_snapshot(&s);
-            snapshots.push(s);
-        })
-    } else {
-        sim.run()
-    };
-    let mut world = sim.into_world();
-    for w in &world.workers {
-        if let Some(e) = &w.error {
-            return Err(e.clone());
-        }
-    }
-    // When faults were injected, an unrecoverable stall names them: the
-    // plan summary plus what the simulator's fault layer actually did.
-    let diagnose_with_faults = |workers: &[Worker]| {
-        let mut diag = obs::diagnose(workers, 0, 0);
-        diag.flight = shared.flight.dump_lines();
-        diag.backpressure = shared.flow.snapshot().backpressure_lines(&shared.graph);
-        diag.retained = shared.mem.snapshot().retained_lines();
-        if shared.config.faults.is_active() {
-            let retransmits = workers.iter().map(Worker::retransmits).sum();
-            diag.fault = Some(obs::fault_note(
-                &shared.config.faults,
-                report.faults_dropped,
-                report.faults_duplicated,
-                report.faults_reordered,
-                retransmits,
-            ));
-        }
-        diag
-    };
-    let w0 = &world.workers[0];
-    if !w0.path().exited() {
-        return Err(RuntimeError::stalled(
-            "simulation quiesced before the program exited (runtime deadlock)",
-            diagnose_with_faults(&world.workers),
-        ));
-    }
-    for (m, w) in world.workers.iter().enumerate() {
-        if !w.idle() {
-            return Err(RuntimeError::stalled(
-                format!("worker {m} still has in-flight bags after quiescence"),
-                diagnose_with_faults(&world.workers),
-            ));
-        }
-    }
-    let outputs = extract_outputs(fs);
-    let op_stats = collect_op_stats(&shared.graph, &world.workers, cluster.machines);
-    let path = world.workers[0].path().blocks().to_vec();
-    let hoist_hits = world.workers.iter().map(Worker::hoist_hits).sum();
-    let template_hits = world.workers.iter().map(Worker::template_hits).sum();
-    let template_misses = world.workers.iter().map(Worker::template_misses).sum();
-    let template_invalidations = world
-        .workers
-        .iter()
-        .map(Worker::template_invalidations)
-        .sum();
-    let decisions = world.workers.iter().map(|w| w.decisions_broadcast).sum();
-    let data_messages = world.workers.iter().map(|w| w.data_messages).sum();
-    let level = shared.config.obs;
-    let obs_report = (level != ObsLevel::Off).then(|| {
-        let mut report = obs::merge_bufs(level, world.workers.iter_mut().map(Worker::take_obs));
-        obs::attach_topology(&mut report, &shared.graph);
-        report
+    let interval = config.sample_interval_ns;
+    let report = sim.run_sampled(interval, |t, _world, depths| {
+        job.shared.flow.sample_queues(depths, interval);
+        job.sample(t, on_snapshot);
     });
-    Ok(EngineResult {
-        outputs,
-        path,
+    let end = DriverEnd {
         sim: report,
-        hoist_hits,
-        template_hits,
-        template_misses,
-        template_invalidations,
-        decisions,
-        data_messages,
-        op_stats,
-        obs: obs_report,
-        snapshots,
-        flow: shared.flow.snapshot(),
-        mem: shared.mem.snapshot(),
-    })
+        watchdog: None,
+    };
+    job.finish(sim.into_world().workers, end)
 }
 
 /// Aggregates per-instance host statistics into per-operator rows.
-pub(crate) fn collect_op_stats(
-    graph: &LogicalGraph,
-    workers: &[Worker],
-    machines: u16,
-) -> Vec<OpStats> {
+fn collect_op_stats(graph: &LogicalGraph, workers: &[Worker], machines: u16) -> Vec<OpStats> {
     let mut stats: Vec<OpStats> = graph
         .nodes
         .iter()
@@ -321,17 +356,6 @@ pub(crate) fn collect_op_stats(
         }
     }
     stats
-}
-
-/// Compiles source text and runs it (convenience wrapper).
-pub fn run_source_sim(
-    src: &str,
-    fs: &InMemoryFs,
-    engine: EngineConfig,
-    cluster: SimConfig,
-) -> Result<EngineResult, RuntimeError> {
-    let func = mitos_ir::compile_str(src).map_err(|e| RuntimeError::new(e.message))?;
-    run_sim(&func, fs, engine, cluster)
 }
 
 #[cfg(test)]
@@ -792,13 +816,8 @@ mod tests {
     #[test]
     fn missing_file_is_a_runtime_error() {
         let fs = InMemoryFs::new();
-        let err = run_source_sim(
-            "b = readFile(\"nope\"); output(b, \"b\");",
-            &fs,
-            EngineConfig::default(),
-            cluster(2),
-        )
-        .unwrap_err();
+        let func = mitos_ir::compile_str("b = readFile(\"nope\"); output(b, \"b\");").unwrap();
+        let err = run_sim(&func, &fs, EngineConfig::default(), cluster(2)).unwrap_err();
         assert!(err.message.contains("nope"), "{err}");
     }
 

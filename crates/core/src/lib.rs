@@ -9,12 +9,15 @@
 //! Main entry points:
 //!
 //! * [`graph::LogicalGraph::build`] — SSA → dataflow job + physical plan.
-//! * [`engine::run_sim`] / [`engine::run_source_sim`] — execute on the
-//!   simulated cluster.
+//! * [`engine::run_sim`] — execute on the simulated cluster;
+//!   [`thread_driver::run_threads`] runs the same worker state machines on
+//!   real threads.
+//! * [`engine::Job`] — the job lifecycle both drivers share: build the
+//!   shared state and the workers, then check how the run ended and build
+//!   the result. A driver is only its loop.
 //!
-//! A thread-based driver for the same worker state machines is added in
-//! [`thread_driver`], and a structured tracing + metrics layer (Chrome
-//! trace export, `EXPLAIN`-style reports) in [`obs`].
+//! A structured tracing + metrics layer (Chrome trace export,
+//! `EXPLAIN`-style reports) lives in [`obs`].
 
 #![warn(missing_docs)]
 
@@ -34,7 +37,7 @@ pub mod worker;
 
 pub use cost::CostModel;
 pub use dot::{to_dot, DotOverlay};
-pub use engine::{extract_outputs, run_sim, run_sim_live, run_source_sim, EngineResult};
+pub use engine::{extract_outputs, run_sim, run_sim_live, EngineResult, Job};
 pub use fuse::{fuse_graph, planned_graph};
 pub use graph::{LogicalGraph, NodeKind, OpId, Parallelism, Partitioning};
 pub use obs::{

@@ -200,7 +200,8 @@ impl EngineConfig {
 /// [`crate::engine::EngineResult::millis`].
 pub const NS_PER_MS: u64 = 1_000_000;
 
-/// Immutable state shared by all workers of one job.
+/// Immutable state shared by all workers of one job, built only by
+/// [`crate::engine::Job::new`].
 pub struct EngineShared {
     /// The dataflow job.
     pub graph: LogicalGraph,

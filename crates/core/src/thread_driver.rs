@@ -15,7 +15,9 @@
 //! registered in a shared timer heap — counted as in flight at
 //! registration time and serviced by the monitor loop — so a zero counter
 //! means nothing is pending anywhere: no channel message, no timer. The
-//! driver then checks that the program exited and all hosts are idle.
+//! monitor then stops the threads, each thread hands its worker back
+//! through `join`, and `Job::finish` ([`crate::engine::Job`]) judges the
+//! end exactly as it does for the simulator.
 //!
 //! Fault injection ([`crate::rt::FaultPlan`]) is applied send-side: every
 //! remote send consults the same pure per-link verdict function the
@@ -26,9 +28,8 @@
 //! pause windows and slowdowns are simulator-only refinements (real
 //! threads have no virtual clock to scale) and are ignored here.
 
-use crate::engine::{extract_outputs, EngineResult};
-use crate::obs::{self, ObsLevel};
-use crate::rt::{EngineConfig, EngineShared, Msg, Net, RuntimeError, Verdict};
+use crate::engine::{DriverEnd, EngineResult, Job};
+use crate::rt::{EngineConfig, Msg, Net, RuntimeError, Verdict};
 use crate::worker::Worker;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use mitos_fs::InMemoryFs;
@@ -36,7 +37,6 @@ use mitos_ir::nir::FuncIr;
 use mitos_sim::SimReport;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 enum TMsg {
@@ -147,8 +147,9 @@ impl Net for ThreadNet<'_> {
 /// simulated machine). File effects land in `fs`; `output(..)` collections
 /// are extracted into the result. The returned `sim` report carries the
 /// measured **wall-clock** duration in `end_time` (nanoseconds, same unit
-/// the simulator uses for virtual time — see [`crate::rt::NS_PER_MS`]);
-/// the other simulator counters stay zero.
+/// the simulator uses for virtual time — see [`crate::rt::NS_PER_MS`])
+/// and the send-side fault layer's counters; the other simulator counters
+/// stay zero.
 pub fn run_threads(
     func: &FuncIr,
     fs: &InMemoryFs,
@@ -174,48 +175,27 @@ pub fn run_threads_live(
     machines: u16,
     on_snapshot: &mut dyn FnMut(&crate::obs::live::Snapshot),
 ) -> Result<EngineResult, RuntimeError> {
-    assert!(machines > 0);
-    let graph =
-        crate::fuse::planned_graph(func, &engine).map_err(|e| RuntimeError::new(e.message))?;
-    let rules = crate::path::PathRules::build(&graph);
-    let telemetry = crate::obs::live::TelemetryHub::new(machines, graph.nodes.len());
-    let flow = crate::obs::flow::FlowRegistry::new(machines, graph.edges.len());
-    let mem = crate::obs::mem::MemRegistry::new(machines, graph.nodes.len());
-    let shared = Arc::new(EngineShared {
-        graph,
-        rules,
-        config: engine,
-        fs: fs.clone(),
-        machines,
-        telemetry,
-        flight: crate::obs::recorder::FlightRecorder::new(machines),
-        flow,
-        mem,
-    });
-
+    let (mut job, workers) = Job::new(func, fs, engine, machines)?;
+    let config = &job.shared().config;
     let epoch = Instant::now();
     let channels: Vec<(Sender<TMsg>, Receiver<TMsg>)> =
         (0..machines).map(|_| unbounded()).collect();
     let senders: Vec<Sender<TMsg>> = channels.iter().map(|(s, _)| s.clone()).collect();
     let inflight = AtomicI64::new(0);
     let timers: TimerHeap = Mutex::new(Vec::new());
-    let faults: Option<ThreadFaults> =
-        shared
-            .config
-            .faults
-            .net_faults_active()
-            .then(|| ThreadFaults {
-                plan: shared.config.faults.clone(),
-                link_seq: (0..machines as usize * machines as usize)
-                    .map(|_| AtomicU64::new(0))
-                    .collect(),
-                dropped: AtomicU64::new(0),
-                duplicated: AtomicU64::new(0),
-                reordered: AtomicU64::new(0),
-            });
+    let faults: Option<ThreadFaults> = config.faults.net_faults_active().then(|| ThreadFaults {
+        plan: config.faults.clone(),
+        link_seq: (0..machines as usize * machines as usize)
+            .map(|_| AtomicU64::new(0))
+            .collect(),
+        dropped: AtomicU64::new(0),
+        duplicated: AtomicU64::new(0),
+        reordered: AtomicU64::new(0),
+    });
     let idle_flags: Vec<AtomicBool> = (0..machines).map(|_| AtomicBool::new(false)).collect();
     let exited_flags: Vec<AtomicBool> = (0..machines).map(|_| AtomicBool::new(false)).collect();
-    let first_error: Mutex<Option<RuntimeError>> = Mutex::new(None);
+    // Set by the first worker that fails; the monitor then drains.
+    let failed = AtomicBool::new(false);
 
     // Bootstrap.
     for s in &senders {
@@ -223,61 +203,58 @@ pub fn run_threads_live(
         s.send(TMsg::M(Msg::Start)).expect("fresh channel");
     }
 
-    let workers: Vec<Mutex<Option<Worker>>> = (0..machines)
-        .map(|m| Mutex::new(Some(Worker::new(shared.clone(), m))))
-        .collect();
-
-    let interval = shared.config.sample_interval_ns;
-    let deadline = shared.config.stall_deadline_ns;
-    let mut snapshots: Vec<crate::obs::live::Snapshot> = Vec::new();
+    let interval = config.sample_interval_ns;
+    let deadline = config.stall_deadline_ns;
     let mut next_sample = interval;
     // Wall-clock position of the previous queue-depth sample, so each
     // monitor wake-up charges exactly the elapsed interval to the flow
     // registry's backpressure accounting.
     let mut last_flow_sample: u64 = 0;
     let mut depths: Vec<usize> = vec![0; machines as usize];
-    // `(reason, idle_ns)` when the run must be diagnosed post-join (the
-    // workers are inside the scope's threads until Stop).
-    let mut stall: Option<(String, u64)> = None;
+    // `(deadline_ns, idle_ns)` when the stall watchdog fires.
+    let mut watchdog: Option<(u64, u64)> = None;
 
-    std::thread::scope(|scope| {
-        for (m, (_, receiver)) in channels.iter().enumerate() {
-            let senders = &senders;
-            let inflight = &inflight;
-            let timers = &timers;
-            let faults = faults.as_ref();
-            let idle_flags = &idle_flags;
-            let exited_flags = &exited_flags;
-            let first_error = &first_error;
-            let workers = &workers;
-            let receiver = receiver.clone();
-            scope.spawn(move || {
-                let mut worker = workers[m].lock().take().expect("worker present");
-                for tmsg in receiver.iter() {
-                    let msg = match tmsg {
-                        TMsg::Stop => break,
-                        TMsg::M(msg) => msg,
-                    };
-                    let mut net = ThreadNet {
-                        machine: m as u16,
-                        senders,
-                        inflight,
-                        timers,
-                        faults,
-                        sent: 0,
-                        epoch,
-                    };
-                    worker.handle(msg, &mut net);
-                    if let Some(e) = &worker.error {
-                        first_error.lock().get_or_insert_with(|| e.clone());
+    let workers: Vec<Worker> = std::thread::scope(|scope| {
+        let handles: Vec<_> = workers
+            .into_iter()
+            .zip(&channels)
+            .enumerate()
+            .map(|(m, (mut worker, (_, receiver)))| {
+                let senders = &senders;
+                let inflight = &inflight;
+                let timers = &timers;
+                let faults = faults.as_ref();
+                let idle_flags = &idle_flags;
+                let exited_flags = &exited_flags;
+                let failed = &failed;
+                let receiver = receiver.clone();
+                scope.spawn(move || {
+                    for tmsg in receiver.iter() {
+                        let msg = match tmsg {
+                            TMsg::Stop => break,
+                            TMsg::M(msg) => msg,
+                        };
+                        let mut net = ThreadNet {
+                            machine: m as u16,
+                            senders,
+                            inflight,
+                            timers,
+                            faults,
+                            sent: 0,
+                            epoch,
+                        };
+                        worker.handle(msg, &mut net);
+                        if worker.error.is_some() {
+                            failed.store(true, Ordering::SeqCst);
+                        }
+                        idle_flags[m].store(worker.idle(), Ordering::SeqCst);
+                        exited_flags[m].store(worker.path().exited(), Ordering::SeqCst);
+                        inflight.fetch_sub(1, Ordering::SeqCst);
                     }
-                    idle_flags[m].store(worker.idle(), Ordering::SeqCst);
-                    exited_flags[m].store(worker.path().exited(), Ordering::SeqCst);
-                    inflight.fetch_sub(1, Ordering::SeqCst);
-                }
-                *workers[m].lock() = Some(worker);
-            });
-        }
+                    worker
+                })
+            })
+            .collect();
 
         // Quiescence detection loop (also the telemetry sampler and the
         // stall watchdog: it already wakes every 200µs anyway).
@@ -307,22 +284,17 @@ pub fn run_threads_live(
             for (d, (_, r)) in depths.iter_mut().zip(channels.iter()) {
                 *d = r.len();
             }
-            shared
+            job.shared()
                 .flow
                 .sample_queues(&depths, now.saturating_sub(last_flow_sample));
             last_flow_sample = now;
             if interval > 0 && now >= next_sample {
-                shared.mem.sample();
-                let mut s = shared.telemetry.snapshot(now, snapshots.last());
-                s.hot_edge = shared.flow.hottest();
-                s.mem = shared.mem.watch_cell();
-                on_snapshot(&s);
-                snapshots.push(s);
+                job.sample(now, on_snapshot);
                 while next_sample <= now {
                     next_sample += interval;
                 }
             }
-            if first_error.lock().is_some() {
+            if failed.load(Ordering::SeqCst) {
                 // Drain: errored workers discard messages; wait for
                 // quiescence, then stop.
                 if inflight.load(Ordering::SeqCst) == 0 {
@@ -341,127 +313,56 @@ pub fn run_threads_live(
                     {
                         continue;
                     }
-                    let idle = now.saturating_sub(shared.telemetry.worker_progress_ns(m as u16));
+                    let idle =
+                        now.saturating_sub(job.shared().telemetry.worker_progress_ns(m as u16));
                     worst = worst.max(idle);
                 }
                 if worst > deadline {
-                    stall = Some(("stall watchdog fired".to_string(), worst));
+                    watchdog = Some((deadline, worst));
                     break;
                 }
             }
-            let quiet = inflight.load(Ordering::SeqCst) == 0;
-            if !quiet {
+            if inflight.load(Ordering::SeqCst) != 0 {
                 continue;
             }
             let all_exited = exited_flags.iter().all(|f| f.load(Ordering::SeqCst));
             let all_idle = idle_flags.iter().all(|f| f.load(Ordering::SeqCst));
-            if all_exited && all_idle {
-                break;
-            }
             // Nothing in flight anywhere — no channel message, no pending
-            // timer — yet the program has not exited or hosts still hold
-            // state: a genuine deadlock (e.g. a dropped decision broadcast
-            // with recovery off). With a stall deadline armed, let the
-            // watchdog wait it out (its timing is part of the contract);
-            // otherwise break now rather than spinning forever, and
-            // diagnose after the threads return their workers.
-            if deadline == 0 {
-                stall = Some((
-                    "threaded run quiesced before the program exited (runtime deadlock)"
-                        .to_string(),
-                    0,
-                ));
+            // timer. Either the run is done, or the program has not exited
+            // or hosts still hold state: a genuine deadlock (e.g. a dropped
+            // decision broadcast with recovery off). With a stall deadline
+            // armed, let the watchdog wait a deadlock out (its timing is
+            // part of the contract); otherwise stop now rather than spin
+            // forever, and let `Job::finish` diagnose the returned workers.
+            if (all_exited && all_idle) || deadline == 0 {
                 break;
             }
         }
         for s in &senders {
             let _ = s.send(TMsg::Stop);
         }
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
     });
 
-    let wall_ns = epoch.elapsed().as_nanos() as u64;
-    if let Some(e) = first_error.into_inner() {
-        return Err(e);
-    }
-    let mut workers: Vec<Worker> = workers
-        .into_iter()
-        .map(|w| w.into_inner().expect("worker returned"))
-        .collect();
-    let fault_counts = faults
-        .as_ref()
-        .map(|f| {
-            (
-                f.dropped.load(Ordering::Relaxed),
-                f.duplicated.load(Ordering::Relaxed),
-                f.reordered.load(Ordering::Relaxed),
-            )
-        })
-        .unwrap_or((0, 0, 0));
-    if let Some((reason, idle_ns)) = stall {
-        // The threads have returned their workers: introspect them for the
-        // structured diagnosis (blocked operators, awaited inputs/decisions,
-        // pending conditional-send watchers). A fault-injected run names
-        // the injected faults alongside.
-        let mut diag = crate::obs::diagnose(&workers, deadline, idle_ns);
-        diag.flight = shared.flight.dump_lines();
-        diag.backpressure = shared.flow.snapshot().backpressure_lines(&shared.graph);
-        diag.retained = shared.mem.snapshot().retained_lines();
-        if shared.config.faults.is_active() {
-            let retransmits = workers.iter().map(Worker::retransmits).sum();
-            diag.fault = Some(obs::fault_note(
-                &shared.config.faults,
-                fault_counts.0,
-                fault_counts.1,
-                fault_counts.2,
-                retransmits,
-            ));
-        }
-        return Err(RuntimeError::stalled(reason, diag));
-    }
-    if !workers[0].path().exited() {
-        return Err(RuntimeError::new("threaded run ended before program exit"));
-    }
-    let outputs = extract_outputs(fs);
-    let op_stats = crate::engine::collect_op_stats(&shared.graph, &workers, machines);
-    let path = workers[0].path().blocks().to_vec();
-    let hoist_hits = workers.iter().map(Worker::hoist_hits).sum();
-    let template_hits = workers.iter().map(Worker::template_hits).sum();
-    let template_misses = workers.iter().map(Worker::template_misses).sum();
-    let template_invalidations = workers.iter().map(Worker::template_invalidations).sum();
-    let decisions = workers.iter().map(|w| w.decisions_broadcast).sum();
-    let data_messages = workers.iter().map(|w| w.data_messages).sum();
-    let level = shared.config.obs;
-    let obs_report = (level != ObsLevel::Off).then(|| {
-        let mut report = obs::merge_bufs(level, workers.iter_mut().map(Worker::take_obs));
-        obs::attach_topology(&mut report, &shared.graph);
-        report
-    });
     // One clock source end to end: the same epoch that timestamps trace
     // events also yields the reported duration, in nanoseconds like the
     // simulator's virtual end_time.
+    let end_time = epoch.elapsed().as_nanos() as u64;
+    let [faults_dropped, faults_duplicated, faults_reordered] =
+        faults.as_ref().map_or([0; 3], |f| {
+            [&f.dropped, &f.duplicated, &f.reordered].map(|c| c.load(Ordering::Relaxed))
+        });
     let sim = SimReport {
-        end_time: wall_ns,
-        faults_dropped: fault_counts.0,
-        faults_duplicated: fault_counts.1,
-        faults_reordered: fault_counts.2,
+        end_time,
+        faults_dropped,
+        faults_duplicated,
+        faults_reordered,
         ..SimReport::default()
     };
-    Ok(EngineResult {
-        outputs,
-        path,
-        sim,
-        hoist_hits,
-        template_hits,
-        template_misses,
-        template_invalidations,
-        decisions,
-        data_messages,
-        op_stats,
-        obs: obs_report,
-        snapshots,
-        flow: shared.flow.snapshot(),
-        mem: shared.mem.snapshot(),
-    })
+    job.finish(workers, DriverEnd { sim, watchdog })
 }
 
 #[cfg(test)]

@@ -4,15 +4,12 @@
 //! the extreme). We drive the worker state machines by hand with a manual
 //! message bus and pathological scheduling policies.
 
-use mitos_core::graph::LogicalGraph;
-use mitos_core::path::PathRules;
-use mitos_core::rt::{EngineConfig, EngineShared, Msg, Net};
-use mitos_core::{extract_outputs, Worker};
+use mitos_core::rt::{EngineConfig, Msg, Net};
+use mitos_core::{extract_outputs, Job};
 use mitos_fs::InMemoryFs;
 use mitos_lang::Value;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
 
 struct BusNet {
     outbox: Vec<(u16, Msg)>,
@@ -43,25 +40,10 @@ enum Policy {
 
 fn run_with_policy(src: &str, machines: u16, mut policy: Policy, fs: &InMemoryFs) {
     let func = mitos_ir::compile_str(src).unwrap();
-    let graph = LogicalGraph::build(&func).unwrap();
-    let rules = PathRules::build(&graph);
-    let telemetry = mitos_core::obs::TelemetryHub::new(machines, graph.nodes.len());
-    let flow = mitos_core::FlowRegistry::new(machines, graph.edges.len());
-    let mem = mitos_core::MemRegistry::new(machines, graph.nodes.len());
-    let shared = Arc::new(EngineShared {
-        graph,
-        rules,
-        config: EngineConfig::default(),
-        fs: fs.clone(),
-        machines,
-        telemetry,
-        flight: mitos_core::FlightRecorder::new(machines),
-        flow,
-        mem,
-    });
-    let mut workers: Vec<Worker> = (0..machines)
-        .map(|m| Worker::new(shared.clone(), m))
-        .collect();
+    // Fusion off: the unfused `LogicalGraph::build` graph, one worker per
+    // machine.
+    let config = EngineConfig::new().with_fusion(false);
+    let (_job, mut workers) = Job::new(&func, fs, config, machines).unwrap();
     let mut inflight: Vec<(u16, Msg)> = (0..machines).map(|m| (m, Msg::Start)).collect();
     let mut steps = 0u64;
     while !inflight.is_empty() {

@@ -4,16 +4,13 @@
 //! manager that withholds its condition `Decision` broadcasts), and
 //! per-worker event-timestamp monotonicity over `Net::now_ns`.
 
-use mitos_core::graph::LogicalGraph;
 use mitos_core::obs::watchdog::{Awaited, OpStall};
-use mitos_core::obs::{ObsLevel, TelemetryHub};
-use mitos_core::path::PathRules;
-use mitos_core::rt::{EngineConfig, EngineShared, FaultPlan, Msg, Net};
-use mitos_core::{run_sim_live, run_threads, run_threads_live, EngineResult, Worker};
+use mitos_core::obs::ObsLevel;
+use mitos_core::rt::{EngineConfig, FaultPlan, Msg, Net};
+use mitos_core::{run_sim_live, run_threads, run_threads_live, EngineResult, Job};
 use mitos_fs::InMemoryFs;
 use mitos_lang::Value;
 use mitos_sim::SimConfig;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A loop whose body shuffles (`reduceByKey`): every map instance feeds
@@ -297,27 +294,13 @@ impl Net for ClockNet<'_> {
 #[test]
 fn per_worker_event_timestamps_are_monotone_over_net_now_ns() {
     let func = mitos_ir::compile_str(LOOP_SRC).unwrap();
-    let graph = LogicalGraph::build(&func).unwrap();
-    let rules = PathRules::build(&graph);
     let machines: u16 = 3;
-    let telemetry = TelemetryHub::new(machines, graph.nodes.len());
-    let flow = mitos_core::FlowRegistry::new(machines, graph.edges.len());
-    let mem = mitos_core::MemRegistry::new(machines, graph.nodes.len());
     let fs = loop_fs();
-    let shared = Arc::new(EngineShared {
-        graph,
-        rules,
-        config: EngineConfig::new().with_obs(ObsLevel::Trace),
-        fs: fs.clone(),
-        machines,
-        telemetry,
-        flight: mitos_core::FlightRecorder::new(machines),
-        flow,
-        mem,
-    });
-    let mut workers: Vec<Worker> = (0..machines)
-        .map(|m| Worker::new(shared.clone(), m))
-        .collect();
+    // Fusion off: the unfused `LogicalGraph::build` graph.
+    let config = EngineConfig::new()
+        .with_obs(ObsLevel::Trace)
+        .with_fusion(false);
+    let (job, mut workers) = Job::new(&func, &fs, config, machines).unwrap();
     let epoch = Instant::now();
     let mut inflight: Vec<(u16, Msg)> = (0..machines).map(|m| (m, Msg::Start)).collect();
     let mut steps = 0u64;
@@ -349,6 +332,6 @@ fn per_worker_event_timestamps_are_monotone_over_net_now_ns() {
             );
         }
         // The hub's last-progress timestamp was fed from the same clock.
-        assert!(shared.telemetry.worker_progress_ns(m as u16) > 0);
+        assert!(job.shared().telemetry.worker_progress_ns(m as u16) > 0);
     }
 }

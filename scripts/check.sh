@@ -83,6 +83,18 @@ if [ -n "$expo_copies" ]; then
     exit 1
 fi
 
+# One job lifecycle: the state every worker shares is built in exactly one
+# place, Job::new in crates/core/src/engine.rs; both drivers and the
+# integration tests obtain it from there. (The struct definition in rt.rs
+# is exempt; the pattern is spelled so this file does not match itself.)
+shared_literals="$(grep -rnE --include='*.rs' 'EngineShare[d] *\{' crates src tests |
+    grep -v '^crates/core/src/engine\.rs:' | grep -vE 'pub struct EngineShare[d] ' || true)"
+if [ -n "$shared_literals" ]; then
+    echo "check.sh: EngineShared built outside Job::new (crates/core/src/engine.rs):" >&2
+    echo "$shared_literals" >&2
+    exit 1
+fi
+
 # The profiler must run end-to-end on the nested-loops example and print
 # its per-iteration table and critical path.
 profile_out="$(./target/release/mitos profile examples/nested_loops.mt --machines 3)"

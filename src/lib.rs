@@ -463,7 +463,8 @@ impl<'a> Run<'a> {
         self
     }
 
-    /// Runs the program. File effects land in `fs`.
+    /// Runs the program. File effects land in `fs`. Fails on a cluster of
+    /// zero machines, whatever the engine.
     pub fn execute(self, fs: &InMemoryFs) -> Result<Outcome, Error> {
         let Run {
             func,
@@ -473,6 +474,12 @@ impl<'a> Run<'a> {
             config,
             on_snapshot,
         } = self;
+        if cluster.machines == 0 {
+            return Err(Error {
+                message: "a run needs at least one machine (machines = 0)".to_string(),
+                stall: None,
+            });
+        }
         let mitos_only = if driver != Driver::Sim {
             Some("the thread driver")
         } else if config.sample_interval_ns != 0 || config.stall_deadline_ns != 0 {

@@ -205,6 +205,28 @@ fn withheld_decisions_trip_watchdog_and_exit_2() {
     assert!(err.contains("awaiting decision"), "{err}");
 }
 
+/// A cluster of zero machines is a plain runtime error (exit 1) on either
+/// driver and on a baseline engine, never a panic.
+#[test]
+fn zero_machines_is_an_error_on_every_engine() {
+    let program = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/nested_loops.mt");
+    for flags in [
+        ["--driver", "sim"],
+        ["--driver", "threads"],
+        ["--engine", "spark"],
+    ] {
+        let output = mitos()
+            .args(["run", program.to_str().unwrap(), "--machines", "0"])
+            .args(flags)
+            .output()
+            .unwrap();
+        assert_eq!(output.status.code(), Some(1), "{flags:?}: {output:?}");
+        let err = String::from_utf8_lossy(&output.stderr);
+        assert!(err.contains("machines"), "{flags:?}: {err}");
+        assert!(!err.contains("panicked"), "{flags:?}: {err}");
+    }
+}
+
 #[test]
 fn fault_drop_without_retransmit_exits_2_naming_the_dropped_traffic() {
     let program = write_temp("prog9.mt", PROGRAM);

@@ -7,7 +7,7 @@ use mitos::lang::Value;
 use mitos::workloads::{
     generate_page_types, generate_visit_logs, visit_count_program, VisitCountSpec,
 };
-use mitos::{compile, Driver, Engine, EngineConfig, Run};
+use mitos::{compile, Driver, Engine, EngineConfig, FaultPlan, Run};
 
 /// The three baselines, and Mitos with all optimizations, without loop
 /// pipelining (Fig. 9) and without loop-invariant hoisting (Fig. 8).
@@ -589,4 +589,40 @@ fn min_max_aggregation_sugar() {
         3,
         &|_| {},
     );
+}
+
+/// A runtime deadlock ends the same way on both drivers: one reason line,
+/// one diagnosis of the same shape, and the same stalled worker states.
+/// (The rest of the message renders the flight recorder, whose timestamps
+/// are virtual under the simulator and wall-clock under threads.)
+#[test]
+fn a_deadlock_is_reported_identically_on_both_drivers() {
+    let func = compile(include_str!("../examples/nested_loops.mt")).unwrap();
+    let config = EngineConfig::new().with_faults(FaultPlan::new().with_withhold_decisions(true));
+    let stalls: Vec<_> = [Driver::Sim, Driver::Threads]
+        .into_iter()
+        .map(|driver| {
+            let err = Run::new(&func)
+                .driver(driver)
+                .machines(3)
+                .config(config.clone())
+                .execute(&InMemoryFs::new())
+                .expect_err("withheld decisions deadlock the run");
+            let report = err.stall.expect("a deadlock carries a StallReport");
+            assert_eq!(report.workers.len(), 3, "{driver:?}");
+            let fault = report.fault.as_deref().unwrap_or_default();
+            assert!(
+                fault.contains("decision broadcasts withheld"),
+                "{driver:?}: {fault}"
+            );
+            assert!(!report.flight.is_empty(), "{driver:?}: no flight dump");
+            let reason = err.message.lines().next().unwrap_or_default().to_string();
+            (reason, report.workers)
+        })
+        .collect();
+    assert_eq!(
+        stalls[0].0,
+        "run quiesced before the program exited (runtime deadlock)"
+    );
+    assert_eq!(stalls[0], stalls[1]);
 }
