@@ -14,6 +14,10 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
+/// Hash partitioning's hash. It sits beside [`Value`] in `mitos_lang`, so
+/// that [`mitos_lang::Batch::key_hashes`] hashes key columns with it.
+pub use mitos_lang::stable_hash;
+
 /// Index of a logical operator (dataflow node).
 pub type OpId = u32;
 /// Index of a logical edge.
@@ -429,27 +433,6 @@ impl LogicalGraph {
     }
 }
 
-/// FNV-1a over the value's own hash impl — deterministic across runs and
-/// platforms (unlike `DefaultHasher` guarantees).
-pub fn stable_hash(v: &Value) -> u64 {
-    struct Fnv(u64);
-    impl std::hash::Hasher for Fnv {
-        fn finish(&self) -> u64 {
-            self.0
-        }
-        fn write(&mut self, bytes: &[u8]) {
-            for &b in bytes {
-                self.0 ^= b as u64;
-                self.0 = self.0.wrapping_mul(0x100000001b3);
-            }
-        }
-    }
-    use std::hash::Hash;
-    let mut h = Fnv(0xcbf29ce484222325);
-    v.hash(&mut h);
-    std::hash::Hasher::finish(&h)
-}
-
 fn translate_op(op: &Op) -> Result<(NodeKind, ()), BuildError> {
     let kind = match op {
         Op::ReadFile { .. } => NodeKind::ReadFile,
@@ -644,13 +627,6 @@ mod tests {
             .position(|e| e.dst == filter_id && e.dst_input == 1)
             .unwrap() as EdgeId;
         assert_eq!(g.route(edge, 0, None, 3), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn stable_hash_is_deterministic() {
-        let v = Value::tuple([Value::I64(42), Value::str("x")]);
-        assert_eq!(stable_hash(&v), stable_hash(&v));
-        assert_ne!(stable_hash(&Value::I64(1)), stable_hash(&Value::I64(2)));
     }
 
     #[test]

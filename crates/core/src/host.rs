@@ -8,8 +8,8 @@
 //! data/punctuation messages; it emits messages through [`HostOut`]. This
 //! keeps it driver-agnostic (simulator or threads) and unit-testable.
 
-use crate::graph::{EdgeId, NodeKind, OpId};
-use crate::obs::mem::{elems_bytes, MemClass};
+use crate::graph::{EdgeId, NodeKind, OpId, Partitioning};
+use crate::obs::mem::MemClass;
 use crate::obs::{EventKind, InputRule, ObsBuf};
 use crate::path::{ExecutionPath, SendDecision};
 use crate::rt::{EngineShared, Msg, Net, RuntimeError, OUTPUT_PREFIX};
@@ -36,13 +36,13 @@ pub struct HostOut<'a> {
     pub obs: &'a mut ObsBuf,
 }
 
-/// One buffered input bag: elements received so far plus completion
-/// tracking. Completion is robust to data/punctuation reordering: the bag is
-/// complete when every sender's end-of-bag arrived *and* all announced
-/// elements are here.
+/// One buffered input bag: elements received so far, appended batch by
+/// batch as they arrive, plus completion tracking. Completion is robust to
+/// data/punctuation reordering: the bag is complete when every sender's
+/// end-of-bag arrived *and* all announced elements are here.
 #[derive(Default)]
 struct InBuf {
-    elems: Vec<Value>,
+    elems: Batch,
     done_senders: u16,
     announced_total: u64,
 }
@@ -66,7 +66,8 @@ struct InputState {
 enum OpState {
     Simple,
     Build(kernel::JoinTable),
-    /// The collected side of a cross; `bytes` is its [`elems_bytes`].
+    /// The collected side of a cross; `bytes` is its
+    /// [`Batch::estimated_bytes`].
     CrossRight {
         right: Vec<Value>,
         bytes: u64,
@@ -92,7 +93,7 @@ impl OpState {
 enum EdgeSend {
     /// Decided (or immediate): elements flow as produced; counts per
     /// destination instance accumulate for the end-of-bag punctuation.
-    /// Produced elements coalesce in `pending` (per destination) until a
+    /// Produced batches coalesce in `pending` (per destination) until a
     /// full `cost.batch_elems` chunk is ready or the bag finalizes, so one
     /// network message carries one full batch regardless of how finely the
     /// producer's input happened to be chunked. Pending elements are not
@@ -100,7 +101,7 @@ enum EdgeSend {
     /// within the same step, exactly like the per-emit sends they replace.
     Streaming {
         counts: Vec<u32>,
-        pending: Vec<Vec<Value>>,
+        pending: Vec<Batch>,
         done_sent: bool,
     },
     /// Waiting for the path to prove the consumer will run (5.2.4).
@@ -112,12 +113,25 @@ enum EdgeSend {
     /// on divergence.
     Undecided {
         cursor: u32,
-        buffer: Vec<Value>,
+        buffer: Batch,
         opened_ns: u64,
         hint: Option<SendHint>,
     },
     /// The consumer will never select this bag.
     Dropped,
+}
+
+impl EdgeSend {
+    /// A send state that streams on `edge` from now on, nothing sent yet.
+    fn streaming(shared: &EngineShared, edge: EdgeId) -> EdgeSend {
+        let dst = shared.graph.edges[edge as usize].dst;
+        let dst_n = shared.graph.instances(dst, shared.machines) as usize;
+        EdgeSend::Streaming {
+            counts: vec![0; dst_n],
+            pending: vec![Batch::new(); dst_n],
+            done_sent: false,
+        }
+    }
 }
 
 /// A produced (possibly still in-flight) output bag.
@@ -127,6 +141,17 @@ struct OutBag {
 }
 
 impl OutBag {
+    /// The produced bag of identifier length `bag_len` of operator `name`.
+    fn get<'a>(
+        outbags: &'a mut HashMap<u32, OutBag>,
+        name: &str,
+        bag_len: u32,
+    ) -> Result<&'a mut OutBag, RuntimeError> {
+        outbags.get_mut(&bag_len).ok_or_else(|| {
+            RuntimeError::new(format!("`{name}` has no output bag of len {bag_len}"))
+        })
+    }
+
     fn retired(&self) -> bool {
         self.finalized
             && self.edges.iter().all(|e| match e {
@@ -158,7 +183,7 @@ struct Active {
     /// Elements read from disk by a read-headed fused chain, parked until
     /// every captured-scalar gate of the later stages is satisfied (the
     /// disk can finish before the scalars arrive).
-    read_elems: Option<Vec<Value>>,
+    read_elems: Option<Batch>,
 }
 
 /// A bag operator host: one physical instance of one logical operator.
@@ -193,7 +218,7 @@ pub struct Host {
     /// Barrier watermark: positions `<= frontier` may start (non-pipelined).
     released_frontier: u32,
     /// Elements read from disk, waiting for the simulated I/O delay.
-    pending_io: Option<Vec<Value>>,
+    pending_io: Option<Batch>,
     /// Statistics: total elements this instance emitted.
     pub emitted_elements: u64,
     /// Statistics: hoisting reuse hits.
@@ -324,9 +349,10 @@ impl Host {
         self.progress(path, out)
     }
 
-    /// Data arrived on an input edge. Residency accounting stays on the
-    /// in-memory [`Batch::estimated_bytes`] estimate (identical to the row
-    /// buffer's [`elems_bytes`]); only wire accounting uses encoded sizes.
+    /// Data arrived on an input edge: the batch is appended to its bag's
+    /// buffer as it is. Residency accounting stays on the in-memory
+    /// [`Batch::estimated_bytes`] estimate (the sum of the elements'
+    /// [`Value::estimated_bytes`]); only wire accounting uses encoded sizes.
     pub fn on_data(
         &mut self,
         edge: EdgeId,
@@ -346,7 +372,7 @@ impl Host {
             batch.estimated_bytes(),
         );
         let buf = self.inputs[input].bufs.entry(bag_len).or_default();
-        buf.elems.extend(batch.into_values());
+        buf.elems.append(batch);
         self.progress(path, out)
     }
 
@@ -512,7 +538,7 @@ impl Host {
             } else {
                 bags += 1;
                 elems += b.elems.len() as u64;
-                bytes += elems_bytes(&b.elems);
+                bytes += b.elems.estimated_bytes();
                 false
             }
         });
@@ -533,7 +559,7 @@ impl Host {
             for b in state.bufs.values() {
                 bags += 1;
                 elems += b.elems.len() as u64;
-                bytes += elems_bytes(&b.elems);
+                bytes += b.elems.estimated_bytes();
             }
             if bags > 0 {
                 state.bufs.clear();
@@ -839,13 +865,7 @@ impl Host {
         let mut edges = Vec::with_capacity(self.out_edge_ids.len());
         for (ei, &e) in self.out_edge_ids.iter().enumerate() {
             if self.shared.rules.edges[e as usize].immediate {
-                let dst = self.shared.graph.edges[e as usize].dst;
-                let dst_n = self.shared.graph.instances(dst, self.shared.machines);
-                edges.push(EdgeSend::Streaming {
-                    counts: vec![0; dst_n as usize],
-                    pending: vec![Vec::new(); dst_n as usize],
-                    done_sent: false,
-                });
+                edges.push(EdgeSend::streaming(&self.shared, e));
             } else {
                 // The clock is only consulted when tracing records latency.
                 let opened_ns = if out.obs.tracing() {
@@ -860,7 +880,7 @@ impl Host {
                     .charge(MemClass::AwaitingBarrier, self.machine, self.op, 1, 0, 0);
                 edges.push(EdgeSend::Undecided {
                     cursor: len,
-                    buffer: Vec::new(),
+                    buffer: Batch::new(),
                     opened_ns,
                     hint: send_hints.get(ei).and_then(Clone::clone),
                 });
@@ -944,22 +964,19 @@ impl Host {
         out: &mut HostOut,
     ) -> Result<(), RuntimeError> {
         let cost = self.shared.config.cost;
-        // Pull out what we need from the buffer without holding borrows.
-        let (single, count) = {
-            let buf = self.inputs[input].bufs.get(&sel_len).expect("gate buffer");
-            (buf.elems.first().cloned(), buf.elems.len())
+        let Some(InBuf { elems, .. }) = self.inputs[input].bufs.get(&sel_len) else {
+            let name = &self.name;
+            let what = format!("`{name}` has no bag of len {sel_len} on gating input {input}");
+            return Err(RuntimeError::new(what));
         };
         if input >= self.data_arity {
             // Captured scalar: exactly one element.
-            if count != 1 {
-                return Err(RuntimeError::new(format!(
-                    "captured scalar input {input} of `{}` holds {count} elements",
-                    self.name
-                )));
-            }
+            let v = single(elems, || {
+                format!("captured scalar input {input} of `{}`", self.name)
+            })?;
             let slot = input - self.data_arity;
             let active = self.current.as_mut().expect("active");
-            active.captured[slot] = single.expect("one element");
+            active.captured[slot] = v;
             active.gate_done[input] = true;
             active.gates_left -= 1;
             return Ok(());
@@ -974,33 +991,14 @@ impl Host {
                 _ => false,
             };
         if read_gate {
-            if count != 1 {
-                return Err(RuntimeError::new(format!(
-                    "file name bag for `{}` holds {count} elements",
-                    self.name
-                )));
-            }
-            let v = single.expect("one element");
-            let name = v
-                .as_str()
-                .ok_or_else(|| {
-                    RuntimeError::new(format!(
-                        "file name for `{}` must be a string, got {v:?}",
-                        self.name
-                    ))
-                })?
-                .to_string();
+            let name = file_name(&self.name, elems)?;
             let (part, parts) = (self.inst as usize, self.n_inst as usize);
-            let elems = self
-                .shared
-                .fs
-                .read_partition(&name, part, parts)
-                .map_err(|e| RuntimeError::new(e.to_string()))?;
-            let bytes = self
-                .shared
-                .fs
-                .partition_bytes(&name, part, parts)
-                .unwrap_or(0);
+            let fs = &self.shared.fs;
+            let elems = through_rows(Batch::new(), |_| {
+                fs.read_partition(&name, part, parts)
+                    .map_err(|e| RuntimeError::new(e.to_string()))
+            })?;
+            let bytes = fs.partition_bytes(&name, part, parts).unwrap_or(0);
             // Disk I/O proceeds asynchronously: the CPU pays only a
             // deserialization share now; the data arrives after the
             // disk delay (loop pipelining overlaps this with compute
@@ -1022,44 +1020,29 @@ impl Host {
                 .schedule(delay, machine, Msg::IoDone { op: self.op });
             return Ok(());
         }
+        let active = self.current.as_mut().expect("active");
+        // The buffer stays selectable by later occurrences: build state is
+        // made from a copy.
         match (&*self.kind, input) {
             (NodeKind::WriteFile, 1) => {
-                if count != 1 {
-                    return Err(RuntimeError::new(format!(
-                        "file name bag for `{}` holds {count} elements",
-                        self.name
-                    )));
-                }
-                let v = single.expect("one element");
-                let name = v
-                    .as_str()
-                    .ok_or_else(|| {
-                        RuntimeError::new(format!(
-                            "file name for `{}` must be a string, got {v:?}",
-                            self.name
-                        ))
-                    })?
-                    .to_string();
+                let name = file_name(&self.name, elems)?;
                 out.net.charge(cost.io.open_latency_ns);
-                let active = self.current.as_mut().expect("active");
                 active.write_name = Some(name);
             }
             (NodeKind::Join, 0) => {
-                // The buffer stays selectable by later occurrences: the
-                // table is built from a copy.
-                let elems = self.inputs[input].bufs[&sel_len].elems.clone();
                 out.net.charge(cost.insert_cost(elems.len()));
-                let active = self.current.as_mut().expect("active");
-                active.state = OpState::Build(kernel::JoinTable::build(elems));
+                through_rows(elems.clone(), |rows| {
+                    active.state = OpState::Build(kernel::JoinTable::build(rows));
+                    Ok(Vec::new())
+                })?;
             }
             (NodeKind::Cross, 1) => {
-                let elems = self.inputs[input].bufs[&sel_len].elems.clone();
                 out.net.charge(cost.elem_cost(elems.len()));
-                let active = self.current.as_mut().expect("active");
-                active.state = OpState::CrossRight {
-                    bytes: elems_bytes(&elems),
-                    right: elems,
-                };
+                let bytes = elems.estimated_bytes();
+                through_rows(elems.clone(), |right| {
+                    active.state = OpState::CrossRight { right, bytes };
+                    Ok(Vec::new())
+                })?;
             }
             (kind, input) => {
                 return Err(RuntimeError::new(format!(
@@ -1068,7 +1051,6 @@ impl Host {
                 )))
             }
         }
-        let active = self.current.as_mut().expect("active");
         active.gate_done[input] = true;
         active.gates_left -= 1;
         Ok(())
@@ -1097,11 +1079,13 @@ impl Host {
                     let target = if b { ci.then_blk } else { ci.else_blk };
                     out.decisions.push((len, target));
                 }
-                self.emit_all(vec![v], out)?;
+                let mut one = Batch::new();
+                one.push(v);
+                self.emit_all(one, out)?;
             }
             NodeKind::LiteralBag { elems } => {
                 let captured = self.current.as_ref().expect("active").captured.clone();
-                let mut vals = Vec::with_capacity(elems.len());
+                let mut vals = Batch::new();
                 for e in elems {
                     out.net.charge(cost.eval_cost(e.node_count(), 1));
                     vals.push(eval(e, &captured).map_err(|e| RuntimeError::new(e.message))?);
@@ -1112,10 +1096,8 @@ impl Host {
                 // Read-headed chain: the parked disk elements run through
                 // every stage in one pass, now that all gates are in.
                 if let Some(elems) = self.current.as_mut().expect("active").read_elems.take() {
-                    let outv = self
-                        .fused_transform(Batch::from_values(elems), out)?
-                        .into_values();
-                    self.emit_all(outv, out)?;
+                    let produced = self.fused_transform(elems, out)?;
+                    self.emit_all(produced, out)?;
                 }
             }
             _ => {}
@@ -1184,9 +1166,9 @@ impl Host {
         Ok(batch)
     }
 
-    /// Processes all unconsumed elements of a stream input. Out of line:
-    /// inlined into `progress_inner` it slows `step_control`'s steps by 6 %.
-    #[inline(never)]
+    /// Hands the whole unconsumed stretch of a stream input to the
+    /// operator as one batch (a copy: the buffer stays selectable by later
+    /// occurrences).
     fn drain_stream(&mut self, input: usize, out: &mut HostOut) -> Result<(), RuntimeError> {
         let (sel_len, start) = {
             let active = self.current.as_ref().expect("active");
@@ -1195,17 +1177,17 @@ impl Host {
             };
             (sel_len, active.consumed[input])
         };
-        let elems: Vec<Value> = {
+        let batch = {
             let Some(buf) = self.inputs[input].bufs.get(&sel_len) else {
                 return Ok(());
             };
             if start >= buf.elems.len() {
                 return Ok(());
             }
-            buf.elems[start..].to_vec()
+            buf.elems.tail(start)
         };
-        self.current.as_mut().expect("active").consumed[input] = start + elems.len();
-        self.process_stream(input, elems, out)
+        self.current.as_mut().expect("active").consumed[input] = start + batch.len();
+        self.process_stream(input, batch, out)
     }
 
     /// Feeds newly arrived stream elements to the operator: charges their
@@ -1213,74 +1195,69 @@ impl Host {
     fn process_stream(
         &mut self,
         input: usize,
-        elems: Vec<Value>,
+        batch: Batch,
         out: &mut HostOut,
     ) -> Result<(), RuntimeError> {
         let kind = Arc::clone(&self.kind);
         let cost = self.shared.config.cost;
-        let n = elems.len();
+        let n = batch.len();
         let active = self.current.as_mut().expect("active");
         let captured = &active.captured;
-        let outv = match (&*kind, &mut active.state) {
+        let kernel_err = |e: kernel::KernelError| RuntimeError::new(e.message);
+        let produced = match (&*kind, &mut active.state) {
             // The element-wise transforms run through the shared columnar
             // kernels: one layout dispatch per run instead of one enum
             // inspection per element.
             (NodeKind::Map { expr }, _) => {
                 out.net.charge(cost.eval_cost(expr.node_count(), n));
-                kernel::map(expr, captured, &Batch::from_values(elems))
-                    .map_err(|e| RuntimeError::new(e.message))?
-                    .into_values()
+                kernel::map(expr, captured, &batch).map_err(kernel_err)?
             }
             (NodeKind::FlatMap { expr }, _) => {
                 out.net.charge(cost.eval_cost(expr.node_count(), n));
-                kernel::flat_map(expr, captured, &Batch::from_values(elems))
-                    .map_err(|e| RuntimeError::new(e.message))?
-                    .into_values()
+                kernel::flat_map(expr, captured, &batch).map_err(kernel_err)?
             }
             (NodeKind::Filter { expr }, _) => {
                 out.net.charge(cost.eval_cost(expr.node_count(), n));
-                kernel::filter(expr, captured, &Batch::from_values(elems))
-                    .map_err(|e| RuntimeError::new(e.message))?
-                    .into_values()
+                kernel::filter(expr, captured, &batch).map_err(kernel_err)?
             }
             (NodeKind::Join, OpState::Build(table)) => {
                 debug_assert_eq!(input, 1, "probe side streams");
                 out.net.charge(cost.probe_cost(n));
-                table.probe(&elems)
+                through_rows(batch, |rows| Ok(table.probe(&rows)))?
             }
             (NodeKind::Cross, OpState::CrossRight { right, .. }) => {
                 debug_assert_eq!(input, 0, "left side streams");
                 out.net.charge(cost.elem_cost(n * right.len().max(1)));
-                kernel::cross(&elems, right)
+                through_rows(batch, |rows| Ok(kernel::cross(&rows, right)))?
             }
             (NodeKind::Union | NodeKind::Alias | NodeKind::Phi, _) => {
                 out.net.charge(cost.elem_cost(n));
-                elems
+                batch
             }
             // A map-headed fused chain streams its data input through every
             // stage in one pass.
-            (NodeKind::Fused { .. }, _) => self
-                .fused_transform(Batch::from_values(elems), out)?
-                .into_values(),
+            (NodeKind::Fused { .. }, _) => self.fused_transform(batch, out)?,
             // The blocking aggregations emit at finalize.
             (
                 NodeKind::ReduceByKey { expr } | NodeKind::ReduceByKeyLocal { expr },
                 OpState::Agg(fold),
             ) => {
                 out.net.charge(cost.eval_cost(expr.node_count(), n));
-                fold.push(expr, captured, &elems)
-                    .map_err(|e| RuntimeError::new(e.message))?;
-                Vec::new()
+                through_rows(batch, |rows| {
+                    fold.push(expr, captured, &rows).map_err(kernel_err)?;
+                    Ok(Vec::new())
+                })?
             }
             (NodeKind::Reduce { expr, .. }, OpState::Fold(fold)) => {
                 out.net.charge(cost.eval_cost(expr.node_count(), n));
-                fold.push(expr, captured, &elems)
-                    .map_err(|e| RuntimeError::new(e.message))?;
-                Vec::new()
+                through_rows(batch, |rows| {
+                    fold.push(expr, captured, &rows).map_err(kernel_err)?;
+                    Ok(Vec::new())
+                })?
             }
             (NodeKind::Distinct, OpState::Distinct(seen)) => {
                 out.net.charge(cost.insert_cost(n));
-                seen.push(&elems)
+                through_rows(batch, |rows| Ok(seen.push(&rows)))?
             }
             (NodeKind::OutputSink { tag }, _) => {
                 out.net.charge(cost.elem_cost(n));
@@ -1292,10 +1269,11 @@ impl Host {
                         count: n as u64,
                     },
                 );
-                self.shared
-                    .fs
-                    .append(&format!("{OUTPUT_PREFIX}{tag}"), &elems);
-                Vec::new()
+                let fs = &self.shared.fs;
+                through_rows(batch, |rows| {
+                    fs.append(&format!("{OUTPUT_PREFIX}{tag}"), &rows);
+                    Ok(Vec::new())
+                })?
             }
             (NodeKind::WriteFile, _) => {
                 debug_assert_eq!(input, 0, "data side streams");
@@ -1303,9 +1281,12 @@ impl Host {
                     .write_name
                     .as_ref()
                     .ok_or_else(|| RuntimeError::new("writeFile data before name".to_string()))?;
-                out.net.charge(cost.io_stream_cost(elems_bytes(&elems)));
-                self.shared.fs.append(name, &elems);
-                Vec::new()
+                out.net.charge(cost.io_stream_cost(batch.estimated_bytes()));
+                let fs = &self.shared.fs;
+                through_rows(batch, |rows| {
+                    fs.append(name, &rows);
+                    Ok(Vec::new())
+                })?
             }
             // Sources have no stream input, and a keyed operator streams
             // only once the state of its kind is in place.
@@ -1316,7 +1297,7 @@ impl Host {
                 )))
             }
         };
-        self.emit_all(outv, out)
+        self.emit_all(produced, out)
     }
 
     // --- Finalization -----------------------------------------------------
@@ -1346,11 +1327,14 @@ impl Host {
         }
         // Final emissions of blocking aggregations.
         let final_emit = match &mut self.current.as_mut().expect("active").state {
-            OpState::Agg(fold) => std::mem::take(fold).finish(),
-            OpState::Fold(fold) => vec![std::mem::take(fold)
-                .finish()
-                .map_err(|e| RuntimeError::new(e.message))?],
-            _ => Vec::new(),
+            OpState::Agg(fold) => {
+                through_rows(Batch::new(), |_| Ok(std::mem::take(fold).finish()))?
+            }
+            OpState::Fold(fold) => through_rows(Batch::new(), |_| {
+                let v = std::mem::take(fold).finish();
+                Ok(vec![v.map_err(|e| RuntimeError::new(e.message))?])
+            })?,
+            _ => Batch::new(),
         };
         self.emit_all(final_emit, out)?;
         // Sinks create their target even for empty bags, matching the
@@ -1404,15 +1388,19 @@ impl Host {
 
     // --- Emission & conditional sends --------------------------------------
 
-    /// Emits produced elements of the active bag onto every outgoing edge.
-    fn emit_all(&mut self, elems: Vec<Value>, out: &mut HostOut) -> Result<(), RuntimeError> {
-        if elems.is_empty() {
+    /// Emits a produced batch of the active bag onto every outgoing edge:
+    /// an undecided edge buffers it, a streaming edge routes it by its
+    /// partitioning ([`Host::route`]). The batch is cloned per edge, never
+    /// taken apart element by element.
+    fn emit_all(&mut self, mut batch: Batch, out: &mut HostOut) -> Result<(), RuntimeError> {
+        if batch.is_empty() {
             return Ok(());
         }
-        self.emitted_elements += elems.len() as u64;
+        let n = batch.len();
+        self.emitted_elements += n as u64;
         self.shared
             .telemetry
-            .elements_out(self.machine, self.op, elems.len() as u64);
+            .elements_out(self.machine, self.op, n as u64);
         let bag_len = self.current.as_ref().expect("active").len;
         if out.obs.enabled() {
             out.obs.record(
@@ -1420,7 +1408,7 @@ impl Host {
                 self.op,
                 EventKind::Emitted {
                     bag_len,
-                    count: elems.len() as u64,
+                    count: n as u64,
                 },
             );
         }
@@ -1429,105 +1417,120 @@ impl Host {
         if n_edges == 0 {
             return Ok(());
         }
-        out.net.charge(cost.ser_cost(elems.len() * n_edges));
+        out.net.charge(cost.ser_cost(n * n_edges));
+        // One key hash per element, shared by every hash edge.
+        let mut hashes = None;
         for ei in 0..n_edges {
-            let edge = self.out_edge_ids[ei];
-            // Route first (immutable), then update state.
-            enum Action {
-                Skip,
-                Buffer,
-                Ship,
-            }
-            let action = match &self.outbags.get(&bag_len).expect("outbag").edges[ei] {
-                EdgeSend::Dropped => Action::Skip,
-                EdgeSend::Undecided { .. } => Action::Buffer,
-                EdgeSend::Streaming { .. } => Action::Ship,
+            // The last edge takes the batch itself.
+            let mine = if ei + 1 == n_edges {
+                std::mem::take(&mut batch)
+            } else {
+                batch.clone()
             };
-            match action {
-                Action::Skip => {}
-                Action::Buffer => {
+            match &mut OutBag::get(&mut self.outbags, &self.name, bag_len)?.edges[ei] {
+                EdgeSend::Dropped => {}
+                EdgeSend::Undecided { buffer, .. } => {
+                    let bytes = mine.estimated_bytes();
+                    buffer.append(mine);
                     self.shared.mem.charge(
                         MemClass::AwaitingBarrier,
                         self.machine,
                         self.op,
                         0,
-                        elems.len() as u64,
-                        elems_bytes(&elems),
+                        n as u64,
+                        bytes,
                     );
-                    if let EdgeSend::Undecided { buffer, .. } =
-                        &mut self.outbags.get_mut(&bag_len).expect("outbag").edges[ei]
-                    {
-                        buffer.extend(elems.iter().cloned());
-                    }
                 }
-                Action::Ship => {
-                    let routed = self.route_elems(edge, &elems);
-                    if let EdgeSend::Streaming {
-                        counts, pending, ..
-                    } = &mut self.outbags.get_mut(&bag_len).expect("outbag").edges[ei]
-                    {
-                        for (d, vs) in routed {
-                            counts[d as usize] += vs.len() as u32;
-                            pending[d as usize].extend(vs);
-                        }
-                    }
-                    self.flush_pending(bag_len, ei, out);
-                }
+                EdgeSend::Streaming { .. } => self.route(bag_len, ei, mine, &mut hashes, out)?,
             }
         }
         Ok(())
     }
 
-    /// Partitions elements over the edge's destination instances.
-    fn route_elems(&self, edge: EdgeId, elems: &[Value]) -> Vec<(u16, Vec<Value>)> {
-        let mut routed: Vec<(u16, Vec<Value>)> = Vec::new();
-        for v in elems {
-            for d in self
-                .shared
-                .graph
-                .route(edge, self.inst, Some(v.key()), self.shared.machines)
-            {
-                match routed.iter_mut().find(|(dd, _)| *dd == d) {
-                    Some((_, vs)) => vs.push(v.clone()),
-                    None => routed.push((d, vec![v.clone()])),
-                }
+    /// Routes a batch into a streaming edge's per-destination pending
+    /// batches and ships every full `cost.batch_elems` chunk, so one
+    /// message carries one full batch however finely the producer's input
+    /// was chunked. A forward edge gives the whole batch to the peer
+    /// instance, a gather edge to instance 0, a broadcast edge to every
+    /// instance; a hash edge splits it once by `stable_hash(key) %
+    /// instances` (`hashes` keeps the key hashes across one batch's edges).
+    fn route(
+        &mut self,
+        bag_len: u32,
+        ei: usize,
+        batch: Batch,
+        hashes: &mut Option<Vec<u64>>,
+        out: &mut HostOut,
+    ) -> Result<(), RuntimeError> {
+        let edge = self.out_edge_ids[ei];
+        let e = &self.shared.graph.edges[edge as usize];
+        let dst_n = self.shared.graph.instances(e.dst, self.shared.machines) as usize;
+        let (partitioning, inst) = (e.partitioning, self.inst as usize);
+        let max_elems = self.shared.config.cost.batch_elems.max(1);
+        let EdgeSend::Streaming {
+            counts, pending, ..
+        } = &mut OutBag::get(&mut self.outbags, &self.name, bag_len)?.edges[ei]
+        else {
+            return Ok(());
+        };
+        // Full chunks leave at once; the sub-batch remainder stays pending
+        // until the bag finalizes.
+        let mut ship: Vec<(u16, Batch)> = Vec::new();
+        let mut give = |d: usize, part: Batch| {
+            counts[d] += part.len() as u32;
+            pending[d].append(part);
+            while pending[d].len() >= max_elems {
+                ship.push((d as u16, pending[d].split_to(max_elems)));
+            }
+        };
+        match partitioning {
+            Partitioning::Forward => give(inst.min(dst_n - 1), batch),
+            Partitioning::Gather => give(0, batch),
+            Partitioning::Broadcast => (0..dst_n).for_each(|d| give(d, batch.clone())),
+            Partitioning::Hash if dst_n == 1 => give(0, batch),
+            Partitioning::Hash => {
+                let hashes = hashes.get_or_insert_with(|| batch.key_hashes());
+                let parts = batch.partition(hashes, dst_n).into_iter();
+                parts.enumerate().for_each(|(d, part)| give(d, part));
             }
         }
-        routed
+        for (d, chunk) in ship {
+            self.send_batches(edge, d, bag_len, chunk, out);
+        }
+        Ok(())
     }
 
-    /// Chunks routed elements into columnar [`Batch`]es of at most
-    /// `cost.batch_elems` elements and ships each as one [`Msg::Data`],
-    /// charging the batch's **actual encoded wire size** to the network
-    /// and the flow registry.
+    /// Ships a batch to one destination instance in messages of at most
+    /// `cost.batch_elems` elements, charging each message's **actual
+    /// encoded wire size** to the network and the flow registry.
     fn send_batches(
         &self,
         edge: EdgeId,
         dst_inst: u16,
         bag_len: u32,
-        elems: Vec<Value>,
+        mut batch: Batch,
         out: &mut HostOut,
     ) {
         let dst = self.shared.graph.edges[edge as usize].dst;
         let machine = self.shared.graph.placement(dst, dst_inst);
         let max_elems = self.shared.config.cost.batch_elems.max(1);
-        for chunk in elems.chunks(max_elems) {
-            let batch = Batch::from_slice(chunk);
+        while !batch.is_empty() {
+            let chunk = batch.split_to(max_elems);
             let bytes = self
                 .shared
                 .config
                 .cost
-                .wire_bytes(batch.encoded_len() as u64);
+                .wire_bytes(chunk.encoded_len() as u64);
             self.shared
                 .flow
-                .msg_out(edge, self.machine, machine, batch.len() as u64, bytes);
+                .msg_out(edge, self.machine, machine, chunk.len() as u64, bytes);
             out.net.send(
                 machine,
                 Msg::Data {
                     edge,
                     dst_inst,
                     bag_len,
-                    batch,
+                    batch: chunk,
                 },
                 bytes,
             );
@@ -1573,7 +1576,7 @@ impl Host {
         path: &ExecutionPath,
         out: &mut HostOut,
     ) -> Result<(), RuntimeError> {
-        let mut to_flush: Vec<(u32, usize, Vec<Value>)> = Vec::new();
+        let mut to_flush: Vec<(u32, usize, Batch)> = Vec::new();
         let mut resolved_any = false;
         // Bag order, not map order: concurrent in-flight bags share one
         // template, and the first resolution to fill a send entry wins —
@@ -1586,7 +1589,7 @@ impl Host {
             for ei in 0..n_edges {
                 let edge = self.out_edge_ids[ei];
                 let (decision, next, buffered, buf_held, buf_bytes, opened_ns) = {
-                    let outbag = self.outbags.get_mut(&bag_len).expect("outbag");
+                    let outbag = OutBag::get(&mut self.outbags, &self.name, bag_len)?;
                     let EdgeSend::Undecided {
                         cursor,
                         buffer,
@@ -1657,72 +1660,45 @@ impl Host {
                         }
                     };
                     let buf_held = buffer.len() as u64;
-                    let buf_bytes = elems_bytes(buffer);
+                    let buf_bytes = buffer.estimated_bytes();
                     let buffered = if d == SendDecision::Send {
                         std::mem::take(buffer)
                     } else {
-                        Vec::new()
+                        Batch::new()
                     };
                     (d, next, buffered, buf_held, buf_bytes, *opened_ns)
                 };
-                let outbag = self.outbags.get_mut(&bag_len).expect("outbag");
+                let outbag = OutBag::get(&mut self.outbags, &self.name, bag_len)?;
                 match decision {
                     SendDecision::Undecided => {
                         if let EdgeSend::Undecided { cursor, .. } = &mut outbag.edges[ei] {
                             *cursor = next;
                         }
+                        continue;
                     }
-                    SendDecision::Drop => {
-                        outbag.edges[ei] = EdgeSend::Dropped;
-                        self.shared.mem.credit(
-                            MemClass::AwaitingBarrier,
-                            self.machine,
-                            self.op,
-                            1,
-                            buf_held,
-                            buf_bytes,
-                        );
-                        resolved_any = true;
-                        self.record_send_resolved(edge, bag_len, false, buf_held, opened_ns, out);
-                    }
+                    SendDecision::Drop => outbag.edges[ei] = EdgeSend::Dropped,
                     SendDecision::Send => {
-                        let dst = self.shared.graph.edges[edge as usize].dst;
-                        let dst_n = self.shared.graph.instances(dst, self.shared.machines);
-                        outbag.edges[ei] = EdgeSend::Streaming {
-                            counts: vec![0; dst_n as usize],
-                            pending: vec![Vec::new(); dst_n as usize],
-                            done_sent: false,
-                        };
-                        self.shared.mem.credit(
-                            MemClass::AwaitingBarrier,
-                            self.machine,
-                            self.op,
-                            1,
-                            buf_held,
-                            buf_bytes,
-                        );
+                        outbag.edges[ei] = EdgeSend::streaming(&self.shared, edge);
                         to_flush.push((bag_len, ei, buffered));
-                        resolved_any = true;
-                        self.record_send_resolved(edge, bag_len, true, buf_held, opened_ns, out);
                     }
                 }
+                self.shared.mem.credit(
+                    MemClass::AwaitingBarrier,
+                    self.machine,
+                    self.op,
+                    1,
+                    buf_held,
+                    buf_bytes,
+                );
+                resolved_any = true;
+                let sent = decision == SendDecision::Send;
+                self.record_send_resolved(edge, bag_len, sent, buf_held, opened_ns, out);
             }
         }
         for (bag_len, ei, buffered) in to_flush {
-            let edge = self.out_edge_ids[ei];
             out.net
                 .charge(self.shared.config.cost.ser_cost(buffered.len()));
-            let routed = self.route_elems(edge, &buffered);
-            if let EdgeSend::Streaming {
-                counts, pending, ..
-            } = &mut self.outbags.get_mut(&bag_len).expect("outbag").edges[ei]
-            {
-                for (d, vs) in routed {
-                    counts[d as usize] += vs.len() as u32;
-                    pending[d as usize].extend(vs);
-                }
-            }
-            self.flush_pending(bag_len, ei, out);
+            self.route(bag_len, ei, buffered, &mut None, out)?;
         }
         if resolved_any {
             let lens: Vec<u32> = self
@@ -1752,28 +1728,6 @@ impl Host {
         });
     }
 
-    /// Drains every full `cost.batch_elems` chunk of a streaming edge's
-    /// per-destination pending output and ships each as one batch message;
-    /// the sub-batch remainder stays pending until the bag finalizes.
-    fn flush_pending(&mut self, bag_len: u32, ei: usize, out: &mut HostOut) {
-        let max_elems = self.shared.config.cost.batch_elems.max(1);
-        let edge = self.out_edge_ids[ei];
-        let mut ship: Vec<(u16, Vec<Value>)> = Vec::new();
-        if let Some(outbag) = self.outbags.get_mut(&bag_len) {
-            if let EdgeSend::Streaming { pending, .. } = &mut outbag.edges[ei] {
-                for (d, buf) in pending.iter_mut().enumerate() {
-                    while buf.len() >= max_elems {
-                        let rest = buf.split_off(max_elems);
-                        ship.push((d as u16, std::mem::replace(buf, rest)));
-                    }
-                }
-            }
-        }
-        for (d, vs) in ship {
-            self.send_batches(edge, d, bag_len, vs, out);
-        }
-    }
-
     /// Sends end-of-bag punctuation on every decided edge of a finalized
     /// bag that hasn't sent it yet, flushing the edge's sub-batch pending
     /// remainder first so the punctuation counts are already on the wire.
@@ -1781,7 +1735,7 @@ impl Host {
         let n_edges = self.out_edge_ids.len();
         for ei in 0..n_edges {
             let edge = self.out_edge_ids[ei];
-            let (counts, leftover): (Vec<u32>, Vec<Vec<Value>>) = {
+            let (counts, leftover): (Vec<u32>, Vec<Batch>) = {
                 let Some(outbag) = self.outbags.get_mut(&bag_len) else {
                     return;
                 };
@@ -1800,10 +1754,8 @@ impl Host {
                     _ => continue,
                 }
             };
-            for (d, vs) in leftover.into_iter().enumerate() {
-                if !vs.is_empty() {
-                    self.send_batches(edge, d as u16, bag_len, vs, out);
-                }
+            for (d, rest) in leftover.into_iter().enumerate() {
+                self.send_batches(edge, d as u16, bag_len, rest, out);
             }
             if out.obs.enabled() {
                 out.obs.record(
@@ -1823,7 +1775,7 @@ impl Host {
             // every destination (receivers expect exactly
             // `senders_per_dst` punctuations).
             let targets: Vec<u16> = match e.partitioning {
-                crate::graph::Partitioning::Forward => {
+                Partitioning::Forward => {
                     let dst_n = counts.len() as u16;
                     vec![self.inst.min(dst_n - 1)]
                 }
@@ -1845,6 +1797,41 @@ impl Host {
             }
         }
     }
+}
+
+/// The host's one row boundary. The keyed kernels (`JoinTable` build and
+/// probe, `KeyedFold`/`Fold` push, `DedupSet`, `cross`), the sinks'
+/// `fs.append` and the `read_partition` source still take and give
+/// `Vec<Value>`; a bag changes form between [`Batch`] and rows here and
+/// nowhere else in the host (`scripts/check.sh` holds it to that). Moving
+/// those kernels onto columns removes it.
+fn through_rows(
+    batch: Batch,
+    f: impl FnOnce(Vec<Value>) -> Result<Vec<Value>, RuntimeError>,
+) -> Result<Batch, RuntimeError> {
+    f(batch.into_values()).map(Batch::from_values)
+}
+
+/// The one element of a scalar bag (a captured scalar, a file name);
+/// `what` names the bag when it holds another count.
+fn single(elems: &Batch, what: impl FnOnce() -> String) -> Result<Value, RuntimeError> {
+    match elems.first() {
+        Some(v) if elems.len() == 1 => Ok(v),
+        _ => Err(RuntimeError::new(format!(
+            "{} holds {} elements",
+            what(),
+            elems.len()
+        ))),
+    }
+}
+
+/// The file name a readFile/writeFile gate of operator `op` carries.
+fn file_name(op: &str, elems: &Batch) -> Result<String, RuntimeError> {
+    let v = single(elems, || format!("file name bag for `{op}`"))?;
+    let name = v.as_str().map(str::to_string);
+    name.ok_or_else(|| {
+        RuntimeError::new(format!("file name for `{op}` must be a string, got {v:?}"))
+    })
 }
 
 /// Which inputs must be fully collected before streaming can begin.

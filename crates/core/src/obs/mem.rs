@@ -646,12 +646,6 @@ impl MemReport {
     }
 }
 
-/// Approximate heap bytes of a slice of values — the same estimator the
-/// cost model uses for wire bytes, without the per-batch envelope.
-pub fn elems_bytes(elems: &[mitos_lang::Value]) -> u64 {
-    elems.iter().map(mitos_lang::Value::estimated_bytes).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -18,7 +18,7 @@
 
 mod vectorized;
 
-use crate::value::Value;
+use crate::value::{stable_hash, stable_hash_str, Value};
 use std::fmt;
 use std::sync::Arc;
 
@@ -62,6 +62,17 @@ impl Col {
                 *self = Col::Mixed(rows);
             }
         }
+    }
+
+    /// The column pushing `values` one by one into a fresh column builds:
+    /// typed when they all share one scalar type, mixed otherwise.
+    fn pushed<'v>(values: impl IntoIterator<Item = &'v Value>) -> Col {
+        let mut values = values.into_iter().peekable();
+        let mut col = values
+            .peek()
+            .map_or(Col::Mixed(Vec::new()), |v| Col::new_for(v));
+        values.for_each(|v| col.push(v));
+        col
     }
 
     /// A column of `n` copies of `v`, as `n` pushes would build it.
@@ -110,12 +121,60 @@ impl Col {
             Col::F64(xs) => Col::F64(pick(xs, keep, kept)),
             Col::Bool(xs) => Col::Bool(pick(xs, keep, kept)),
             Col::Str(xs) => Col::Str(pick(xs, keep, kept)),
+            Col::Mixed(xs) => Col::pushed(xs.iter().zip(keep).filter(|(_, &k)| k).map(|(x, _)| x)),
+        }
+    }
+
+    /// The elements at `idx`, in that order, as pushing them into a fresh
+    /// column would build it: the gather twin of [`Col::select`].
+    fn gather(&self, idx: &[u32]) -> Col {
+        fn pick<T: Clone>(xs: &[T], idx: &[u32]) -> Vec<T> {
+            idx.iter().map(|&i| xs[i as usize].clone()).collect()
+        }
+        match self {
+            Col::I64(xs) => Col::I64(pick(xs, idx)),
+            Col::F64(xs) => Col::F64(pick(xs, idx)),
+            Col::Bool(xs) => Col::Bool(pick(xs, idx)),
+            Col::Str(xs) => Col::Str(pick(xs, idx)),
+            Col::Mixed(xs) => Col::pushed(idx.iter().map(|&i| &xs[i as usize])),
+        }
+    }
+
+    /// A copy of the elements from `at` on, as pushes would build it.
+    fn slice_from(&self, at: usize) -> Col {
+        match self {
+            Col::I64(xs) => Col::I64(xs[at..].to_vec()),
+            Col::F64(xs) => Col::F64(xs[at..].to_vec()),
+            Col::Bool(xs) => Col::Bool(xs[at..].to_vec()),
+            Col::Str(xs) => Col::Str(xs[at..].to_vec()),
+            Col::Mixed(xs) => Col::pushed(&xs[at..]),
+        }
+    }
+
+    /// Splits off the elements from `at` on; both halves come out as
+    /// pushes would build them.
+    fn split_off(&mut self, at: usize) -> Col {
+        match self {
+            Col::I64(xs) => Col::I64(xs.split_off(at)),
+            Col::F64(xs) => Col::F64(xs.split_off(at)),
+            Col::Bool(xs) => Col::Bool(xs.split_off(at)),
+            Col::Str(xs) => Col::Str(xs.split_off(at)),
             Col::Mixed(xs) => {
-                let survivors = xs.iter().zip(keep).filter(|(_, &k)| k).map(|(x, _)| x);
-                let mut col = Col::new_for(survivors.clone().next().expect("kept > 0"));
-                survivors.for_each(|v| col.push(v));
-                col
+                let (head, tail) = (Col::pushed(&xs[..at]), Col::pushed(&xs[at..]));
+                *self = head;
+                tail
             }
+        }
+    }
+
+    /// [`stable_hash`] of every element, appended to `out`.
+    fn stable_hashes(&self, out: &mut Vec<u64>) {
+        match self {
+            Col::I64(xs) => out.extend(xs.iter().map(|&x| stable_hash(&Value::I64(x)))),
+            Col::F64(xs) => out.extend(xs.iter().map(|&x| stable_hash(&Value::F64(x)))),
+            Col::Bool(xs) => out.extend(xs.iter().map(|&x| stable_hash(&Value::Bool(x)))),
+            Col::Str(xs) => out.extend(xs.iter().map(|x| stable_hash_str(x))),
+            Col::Mixed(xs) => out.extend(xs.iter().map(stable_hash)),
         }
     }
 
@@ -228,7 +287,7 @@ impl Col {
             COL_BOOL => {
                 let mut xs = Vec::with_capacity(count);
                 for _ in 0..count {
-                    xs.push(take_u8(buf, pos)? != 0);
+                    xs.push(take_bool(buf, pos)?);
                 }
                 Col::Bool(xs)
             }
@@ -269,6 +328,39 @@ impl Run {
             Run::Scalar(c) => c.len(),
             Run::Tuple { cols, .. } => cols.first().map_or(0, Col::len),
             Run::Rows(rows) => rows.len(),
+        }
+    }
+
+    fn get(&self, i: usize) -> Value {
+        match self {
+            Run::Scalar(c) => c.get(i),
+            Run::Tuple { cols, .. } => tuple_at(cols, i),
+            Run::Rows(rows) => rows[i].clone(),
+        }
+    }
+
+    /// Applies `f` to every column of a column run (a row run's rows go to
+    /// `rows`), keeping the run's kind and arity.
+    fn map_cols(&self, f: impl Fn(&Col) -> Col, rows: impl FnOnce(&[Value]) -> Vec<Value>) -> Run {
+        match self {
+            Run::Scalar(c) => Run::Scalar(f(c)),
+            Run::Tuple { arity, cols } => Run::Tuple {
+                arity: *arity,
+                cols: cols.iter().map(f).collect(),
+            },
+            Run::Rows(xs) => Run::Rows(rows(xs)),
+        }
+    }
+
+    /// Splits off the elements from `0 < at < len` on.
+    fn split_off(&mut self, at: usize) -> Run {
+        match self {
+            Run::Scalar(c) => Run::Scalar(c.split_off(at)),
+            Run::Tuple { arity, cols } => Run::Tuple {
+                arity: *arity,
+                cols: cols.iter_mut().map(|c| c.split_off(at)).collect(),
+            },
+            Run::Rows(rows) => Run::Rows(rows.split_off(at)),
         }
     }
 
@@ -433,20 +525,127 @@ impl Batch {
                     .zip(more_cols)
                     .for_each(|(c, m)| c.append(m));
             }
+            (Some(Run::Rows(rows)), Run::Rows(mut more)) => rows.append(&mut more),
             (_, run) => self.runs.push(run),
         }
+    }
+
+    // The primitives below keep the kernels' layout contract: for batches
+    // built by `push` (every batch the engine makes), each result is laid
+    // out — and so encodes — exactly as pushing its elements one by one
+    // into a fresh batch would lay it out. A column whose kept elements
+    // share one scalar type comes out typed, and runs that `push` would
+    // have merged are merged.
+
+    /// Moves every element of `other` to the end of `self`.
+    pub fn append(&mut self, other: Batch) {
+        if self.is_empty() {
+            *self = other;
+        } else {
+            other.runs.into_iter().for_each(|run| self.append_run(run));
+        }
+    }
+
+    /// Splits off the first `n` elements and returns them; `self` keeps
+    /// the rest. Takes everything when `n >= len`.
+    pub fn split_to(&mut self, n: usize) -> Batch {
+        if n >= self.len {
+            return std::mem::take(self);
+        }
+        let (mut whole, mut taken) = (0, 0);
+        while taken + self.runs[whole].len() <= n {
+            taken += self.runs[whole].len();
+            whole += 1;
+        }
+        let mut head: Vec<Run> = self.runs.drain(..whole).collect();
+        if taken < n {
+            let run = &mut self.runs[0];
+            let rest = run.split_off(n - taken);
+            head.push(std::mem::replace(run, rest));
+        }
+        self.len -= n;
+        Batch { runs: head, len: n }
+    }
+
+    /// A copy of the elements from position `start` on.
+    pub fn tail(&self, start: usize) -> Batch {
+        let mut runs = Vec::new();
+        let mut at = 0;
+        for run in &self.runs {
+            let len = run.len();
+            if at >= start {
+                runs.push(run.clone());
+            } else if at + len > start {
+                let from = start - at;
+                runs.push(run.map_cols(|c| c.slice_from(from), |rows| rows[from..].to_vec()));
+            }
+            at += len;
+        }
+        Batch {
+            runs,
+            len: self.len.saturating_sub(start),
+        }
+    }
+
+    /// [`stable_hash`] of every element's [`Value::key`], in order, bit
+    /// for bit: hash partitioning's input, computed on the key column
+    /// without building the elements.
+    pub fn key_hashes(&self) -> Vec<u64> {
+        let mut out = Vec::with_capacity(self.len);
+        for run in &self.runs {
+            match run {
+                // A scalar is its own key; a tuple's key is field 0.
+                Run::Scalar(c @ (Col::I64(_) | Col::F64(_) | Col::Bool(_) | Col::Str(_))) => {
+                    c.stable_hashes(&mut out)
+                }
+                Run::Tuple { cols, .. } => cols[0].stable_hashes(&mut out),
+                Run::Scalar(Col::Mixed(xs)) | Run::Rows(xs) => {
+                    out.extend(xs.iter().map(|v| stable_hash(v.key())))
+                }
+            }
+        }
+        out
+    }
+
+    /// Splits the batch into `n` parts by `hashes` (one per element, as
+    /// [`Batch::key_hashes`] makes them): element `i` goes to part
+    /// `hashes[i] % n`, and every part keeps the batch's order. An index
+    /// gather per run, the twin of the filter kernels' select.
+    pub fn partition(&self, hashes: &[u64], n: usize) -> Vec<Batch> {
+        debug_assert_eq!(hashes.len(), self.len, "one hash per element");
+        let mut parts = vec![Batch::new(); n];
+        let mut idx: Vec<Vec<u32>> = vec![Vec::new(); n];
+        let mut at = 0;
+        for run in &self.runs {
+            let len = run.len();
+            idx.iter_mut().for_each(Vec::clear);
+            for (i, h) in hashes[at..at + len].iter().enumerate() {
+                idx[(h % n as u64) as usize].push(i as u32);
+            }
+            at += len;
+            for (part, idx) in parts.iter_mut().zip(&idx) {
+                if !idx.is_empty() {
+                    part.append_run(run.map_cols(
+                        |c| c.gather(idx),
+                        |rows| idx.iter().map(|&i| rows[i as usize].clone()).collect(),
+                    ));
+                }
+            }
+        }
+        parts
     }
 
     /// Iterates the batch's elements in order (reconstructing values from
     /// the columns).
     pub fn iter(&self) -> impl Iterator<Item = Value> + '_ {
-        self.runs.iter().flat_map(|run| {
-            (0..run.len()).map(move |i| match run {
-                Run::Scalar(c) => c.get(i),
-                Run::Tuple { cols, .. } => tuple_at(cols, i),
-                Run::Rows(rows) => rows[i].clone(),
-            })
-        })
+        self.runs
+            .iter()
+            .flat_map(|run| (0..run.len()).map(move |i| run.get(i)))
+    }
+
+    /// The first element, if any.
+    pub fn first(&self) -> Option<Value> {
+        self.runs.first().map(|run| run.get(0))
     }
 
     /// Consumes the batch into a plain value vector.
@@ -534,7 +733,9 @@ impl Batch {
 
     /// Deserializes a batch from a slab produced by [`Batch::encode`].
     /// Fails (never panics) on truncated or corrupt input, including
-    /// trailing garbage.
+    /// trailing garbage, and on bytes the encoder never writes (a bool
+    /// byte other than 0 or 1, a run of no elements): every slab it
+    /// accepts re-encodes to itself.
     pub fn decode(buf: &[u8]) -> Result<Batch, DecodeError> {
         let mut pos = 0usize;
         let n_runs = take_u32(buf, &mut pos)? as usize;
@@ -556,6 +757,10 @@ impl Batch {
                     "element count {count} exceeds input size {}",
                     buf.len()
                 )));
+            }
+            if count == 0 {
+                // `push` never leaves an empty run, so no encoding holds one.
+                return Err(DecodeError::new("run with no elements"));
             }
             len += count;
             runs.push(match tag {
@@ -651,6 +856,15 @@ fn take_u8(buf: &[u8], pos: &mut usize) -> Result<u8, DecodeError> {
     Ok(b)
 }
 
+/// A bool byte: 0 or 1, the only bytes the encoder writes.
+fn take_bool(buf: &[u8], pos: &mut usize) -> Result<bool, DecodeError> {
+    match take_u8(buf, pos)? {
+        0 => Ok(false),
+        1 => Ok(true),
+        b => Err(DecodeError::new(format!("bool byte {b}"))),
+    }
+}
+
 fn take_array<const N: usize>(buf: &[u8], pos: &mut usize) -> Result<[u8; N], DecodeError> {
     let end = pos
         .checked_add(N)
@@ -739,7 +953,7 @@ fn decode_value(buf: &[u8], pos: &mut usize, depth: u32) -> Result<Value, Decode
     }
     Ok(match take_u8(buf, pos)? {
         VAL_UNIT => Value::Unit,
-        VAL_BOOL => Value::Bool(take_u8(buf, pos)? != 0),
+        VAL_BOOL => Value::Bool(take_bool(buf, pos)?),
         VAL_I64 => Value::I64(i64::from_le_bytes(take_array(buf, pos)?)),
         VAL_F64 => Value::F64(f64::from_bits(u64::from_le_bytes(take_array(buf, pos)?))),
         VAL_STR => Value::Str(decode_str(buf, pos)?),

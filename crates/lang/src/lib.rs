@@ -28,4 +28,4 @@ pub use builder::ProgramBuilder;
 pub use diag::{Diagnostic, Span};
 pub use expr::{eval, BinOp, EvalError, Expr, Func, UnOp};
 pub use parser::{parse, parse_expr};
-pub use value::{canonicalize, Value};
+pub use value::{canonicalize, stable_hash, Value};

@@ -144,7 +144,7 @@ impl Value {
             Value::Bool(_) => 1,
             Value::I64(_) => 2,
             Value::F64(_) => 3,
-            Value::Str(_) => 4,
+            Value::Str(_) => STR_TAG,
             Value::Tuple(_) => 5,
             Value::List(_) => 6,
         }
@@ -282,6 +282,49 @@ impl From<String> for Value {
     }
 }
 
+/// The hash tag of [`Value::Str`], shared with [`stable_hash_str`].
+const STR_TAG: u8 = 4;
+
+/// FNV-1a, 64 bit: the hasher behind [`stable_hash`].
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Fnv {
+        Fnv(0xcbf29ce484222325)
+    }
+}
+
+impl Hasher for Fnv {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x100000001b3);
+        }
+    }
+}
+
+/// FNV-1a over the value's own hash impl — deterministic across runs and
+/// platforms (unlike `DefaultHasher`). Hash partitioning routes an element
+/// to instance `stable_hash(v.key()) % n`.
+pub fn stable_hash(v: &Value) -> u64 {
+    let mut h = Fnv::new();
+    v.hash(&mut h);
+    h.finish()
+}
+
+/// [`stable_hash`] of `Value::Str(s)`, without building the value: what
+/// hashes a string column.
+pub(crate) fn stable_hash_str(s: &str) -> u64 {
+    let mut h = Fnv::new();
+    h.write_u8(STR_TAG);
+    s.hash(&mut h);
+    h.finish()
+}
+
 /// Sorts a bag's elements into a canonical order, for multiset comparison.
 pub fn canonicalize(mut bag: Vec<Value>) -> Vec<Value> {
     bag.sort_unstable();
@@ -308,6 +351,32 @@ mod tests {
         let nan1 = Value::F64(f64::NAN);
         let nan2 = Value::F64(f64::NAN);
         assert_eq!(nan1, nan2, "NaN must be usable as a grouping key");
+    }
+
+    /// Hash partitioning decides which instance holds which key, so the
+    /// hash of every value type is part of the data plane's contract.
+    #[test]
+    fn stable_hash_is_pinned() {
+        let pinned = [
+            (Value::I64(42), 2449347354575781711),
+            (Value::I64(-1), 12651931728328052317),
+            (Value::F64(1.5), 8742554054650249731),
+            (Value::F64(-0.0), 8750027435185686098),
+            (Value::str("page"), 4103391113078259733),
+            (Value::str(""), 587096361378337796),
+            (Value::Bool(true), 589728592215707255),
+            (Value::Bool(false), 589727492704079044),
+            (
+                Value::tuple([Value::I64(7), Value::str("x")]),
+                17638085270294184196,
+            ),
+            (Value::Unit, 12638153115695167455),
+            (Value::list([Value::I64(1)]), 14907687979496151087),
+        ];
+        for (v, hash) in pinned {
+            assert_eq!(stable_hash(&v), hash, "{v:?}");
+        }
+        assert_eq!(stable_hash_str("page"), stable_hash(&Value::str("page")));
     }
 
     #[test]

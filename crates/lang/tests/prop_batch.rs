@@ -2,7 +2,9 @@
 //! the encoding must round-trip arbitrary element sequences exactly
 //! (including NaN bit patterns, nested tuples, lists, and empty batches),
 //! the container must preserve element order and count, and the exact
-//! `encoded_len` must always match the encoder's output.
+//! `encoded_len` must always match the encoder's output. The decoder
+//! takes anything without panicking, and accepts only canonical slabs:
+//! whatever it decodes re-encodes to the very bytes it was given.
 
 use mitos_lang::{Batch, Value};
 use proptest::prelude::*;
@@ -98,6 +100,65 @@ proptest! {
         let cut = cut % wire.len();
         prop_assert!(Batch::decode(&wire[..cut]).is_err());
     }
+
+    /// Arbitrary bytes never panic the decoder, and whatever it accepts
+    /// re-encodes to exactly those bytes.
+    #[test]
+    fn arbitrary_bytes_decode_canonically_or_fail(
+        bytes in prop::collection::vec(any::<u8>(), 0..48),
+        header in 0u32..4,
+    ) {
+        // Half the cases start with a small run count, so decoding gets
+        // past the header.
+        let mut slab = bytes;
+        if header < 2 && slab.len() >= 4 {
+            slab[..4].copy_from_slice(&header.to_le_bytes());
+        }
+        if let Ok(batch) = Batch::decode(&slab) {
+            prop_assert_eq!(batch.encode(), slab);
+        }
+    }
+
+    /// A valid encoding with a few bytes overwritten: no panic, and an
+    /// accepted slab re-encodes to itself (so a flipped bool byte or a
+    /// zeroed run count is rejected, not normalized).
+    #[test]
+    fn mutated_encodings_decode_canonically_or_fail(
+        elems in arb_elems(),
+        edits in prop::collection::vec((any::<usize>(), any::<u8>()), 1..4),
+    ) {
+        let mut slab = Batch::from_slice(&elems).encode();
+        for (at, byte) in edits {
+            let at = at % slab.len();
+            slab[at] = byte;
+        }
+        if let Ok(batch) = Batch::decode(&slab) {
+            prop_assert_eq!(batch.encode(), slab);
+        }
+    }
+}
+
+/// The two non-canonical forms the decoder used to accept: a bool byte
+/// other than 0/1 (read as `true`, re-encoded as 1) and a run of zero
+/// elements (which `push` never builds).
+#[test]
+fn non_canonical_slabs_are_rejected() {
+    let bools = Batch::from_slice(&[Value::Bool(true), Value::Bool(false)]).encode();
+    // [runs u32][tag][count u32][col tag][b0][b1]
+    let mut two = bools.clone();
+    two[10] = 2;
+    assert!(Batch::decode(&two).is_err(), "column bool byte 2");
+    let rows = Batch::from_slice(&[Value::list([Value::Bool(true)])]).encode();
+    // [runs u32][tag][count u32][VAL_LIST][n u32][VAL_BOOL][b]
+    let mut seven = rows.clone();
+    assert_eq!(seven.len(), 16);
+    seven[15] = 7;
+    assert!(Batch::decode(&seven).is_err(), "row bool byte 7");
+    let empty_run = [1u8, 0, 0, 0, 0, 0, 0, 0, 0];
+    assert!(Batch::decode(&empty_run).is_err(), "empty row run");
+    let empty_col = [1u8, 0, 0, 0, 1, 0, 0, 0, 0, 1];
+    assert!(Batch::decode(&empty_col).is_err(), "empty i64 run");
+    assert!(Batch::decode(&bools).is_ok() && Batch::decode(&rows).is_ok());
 }
 
 /// A run's arity is one byte on the wire: tuples wider than 255 fields

@@ -62,6 +62,25 @@ if [ -n "$host_copies" ]; then
     exit 1
 fi
 
+# Batches from the wire to the wire: the host keeps a bag as a columnar
+# Batch from Msg::Data to Msg::Data. Only its one row boundary,
+# fn through_rows (the keyed kernels, sinks and the partition reader
+# still take rows), may turn a batch into values or values into a batch;
+# anywhere else in host.rs into_values / from_values / from_slice or an
+# element-wise Batch::iter is a per-element detour the data plane left.
+row_detours="$(awk '
+    /^#\[cfg\(test\)\]/ { exit }
+    /^fn through_rows\(/ { in_helper = 1 }
+    !in_helper && /into_values|from_values|from_slice|Batch::iter|(elems|batch|buffer|buffered|chunk|part|rest|produced)\.iter\(\)/ {
+        print FILENAME ":" FNR ": " $0
+    }
+    in_helper && /^}/ { in_helper = 0 }' crates/core/src/host.rs)"
+if [ -n "$row_detours" ]; then
+    echo "check.sh: host.rs converts rows outside through_rows:" >&2
+    echo "$row_detours" >&2
+    exit 1
+fi
+
 # One writer per exposition format: JSON string escaping and Prometheus
 # HELP/TYPE header lines live in crates/core/src/obs/expo.rs; no other
 # non-test source under crates/ or src/ may write either by hand or carry

@@ -626,3 +626,88 @@ fn a_deadlock_is_reported_identically_on_both_drivers() {
     );
     assert_eq!(stalls[0], stalls[1]);
 }
+
+/// Every layout the columnar data plane has to keep byte-exact, end to
+/// end: a tuple field that turns from i64 to f64 mid-bag (a mixed column),
+/// bare values beside tuples, `flatMap` lists mixing both, and a 300-field
+/// tuple (too wide for a column run). They cross a hash edge (`distinct`),
+/// a broadcast edge (`cross`'s collected side) and conditional edges whose
+/// bags wait in undecided buffers, on both drivers and with one element
+/// or 1024 per batch. Outputs must match the interpreter, and the wire
+/// bytes, data messages and virtual time are pinned literals: a batch laid
+/// out differently on any of these edges is charged differently.
+#[test]
+fn mixed_layouts_keep_their_wire_charge_on_every_edge_kind() {
+    let src = r#"
+        xs = readFile("mixed");
+        acc = empty;
+        i = 0;
+        while (i < 3) {
+            ys = xs.flatMap(x => [x, (x, i)]);
+            if (i % 2 == 0) {
+                zs = ys.distinct();
+            } else {
+                zs = bag(0, 1) cross ys;
+            }
+            acc = acc union zs;
+            i = i + 1;
+        }
+        output(acc, "acc");
+        output(xs.distinct(), "d");
+    "#;
+    let func = compile(src).unwrap();
+    let wide = Value::tuple((0..300).map(Value::I64));
+    let mixed: Vec<Value> = (0..60i64)
+        .map(|i| match i % 6 {
+            0 | 1 if i < 30 => Value::tuple([Value::I64(i % 7), Value::I64(i)]),
+            0 | 1 => Value::tuple([Value::I64(i % 7), Value::F64(i as f64 / 4.0)]),
+            2 => Value::I64(i % 5),
+            3 => Value::str(format!("s{}", i % 4)),
+            4 => wide.clone(),
+            _ => Value::tuple([Value::I64(i % 3), Value::str("t"), Value::Bool(i % 4 == 1)]),
+        })
+        .collect();
+    let fs = || {
+        let fs = InMemoryFs::new();
+        fs.put("mixed", mixed.clone());
+        fs
+    };
+    let reference = Run::new(&func)
+        .engine(Engine::Reference)
+        .machines(1)
+        .execute(&fs())
+        .expect("reference");
+    // (driver, batch_elems, bytes on wire, data messages, simulated ns).
+    // The thread driver's wall-clock time is not pinned, and with 1024
+    // elements per batch neither are its bytes: arrival order decides how
+    // a batch's runs interleave.
+    let pinned = [
+        (Driver::Sim, 1, Some(337_215), 3_043, Some(6_150_511)),
+        (Driver::Sim, 1024, Some(331_094), 213, Some(4_139_065)),
+        (Driver::Threads, 1, Some(337_215), 3_043, None),
+        (Driver::Threads, 1024, None, 213, None),
+    ];
+    for (driver, batch_elems, bytes, messages, elapsed) in pinned {
+        let cost = mitos::core::CostModel {
+            batch_elems,
+            ..Default::default()
+        };
+        let what = format!("{driver:?}, batch_elems {batch_elems}");
+        let outcome = Run::new(&func)
+            .driver(driver)
+            .machines(3)
+            .config(EngineConfig::new().with_cost(cost))
+            .execute(&fs())
+            .unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert_eq!(outcome.outputs, reference.outputs, "outputs, {what}");
+        assert_eq!(outcome.path, reference.path, "path, {what}");
+        let flow = outcome.flow.as_ref().expect("a Mitos run reports flow");
+        if let Some(bytes) = bytes {
+            assert_eq!(flow.bytes_on_wire(), bytes, "bytes on wire, {what}");
+        }
+        assert_eq!(outcome.data_messages, messages, "data messages, {what}");
+        if let Some(elapsed) = elapsed {
+            assert_eq!(outcome.elapsed_ns, elapsed, "virtual time, {what}");
+        }
+    }
+}
