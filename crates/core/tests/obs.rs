@@ -134,38 +134,71 @@ fn sim_and_thread_drivers_emit_the_same_logical_events() {
 
 #[test]
 fn metrics_reconcile_with_engine_result() {
-    for machines in [1, 3] {
-        let r = run_sim_at(ObsLevel::Metrics, machines);
-        let obs = r.obs.as_ref().expect("metrics collected");
-        assert!(obs.events.is_empty(), "no event storage at Metrics level");
+    type Runner = fn(ObsLevel, u16) -> EngineResult;
+    let drivers: [(&str, Runner); 2] = [("sim", run_sim_at), ("threads", run_threads_at)];
+    for (driver, run) in drivers {
+        for machines in [1, 3] {
+            let r = run(ObsLevel::Metrics, machines);
+            let at = format!("{driver} on {machines} machine(s)");
+            let obs = r.obs.as_ref().expect("metrics collected");
+            assert!(obs.events.is_empty(), "no event storage at Metrics level");
 
-        let emitted: u64 = r.op_stats.iter().map(|s| s.emitted).sum();
-        assert_eq!(obs.metrics.total_emitted(), emitted, "emitted elements");
-        assert_eq!(obs.metrics.total_hoist_hits(), r.hoist_hits, "hoist hits");
-        assert_eq!(obs.metrics.decisions_broadcast, r.decisions, "decisions");
-
-        let output_elems: u64 = r.outputs.values().map(|v| v.len() as u64).sum();
-        assert_eq!(
-            obs.metrics.total_sink_written(),
-            output_elems,
-            "sink writes = output collection sizes"
-        );
-
-        // Every opened bag closes, on every machine.
-        for (op, m) in obs.metrics.ops.iter().enumerate() {
+            // Each fact the runtime counts agrees with its event-derived twin.
+            let emitted: u64 = r.op_stats.iter().map(|s| s.emitted).sum();
             assert_eq!(
-                m.bags_opened, m.bags_finalized,
-                "op {op}: opened == finalized"
+                obs.metrics.total_emitted(),
+                emitted,
+                "emitted elements, {at}"
             );
+            let op_hoists: u64 = r.op_stats.iter().map(|s| s.hoist_hits).sum();
+            assert_eq!(op_hoists, r.hoist_hits, "per-op hoist hits, {at}");
+            assert_eq!(
+                obs.metrics.total_hoist_hits(),
+                r.hoist_hits,
+                "hoist hits, {at}"
+            );
+            assert!(r.hoist_hits > 0, "the join build side is hoisted, {at}");
+            assert_eq!(
+                obs.metrics.decisions_broadcast, r.decisions,
+                "decisions, {at}"
+            );
+            assert_eq!(
+                r.data_messages,
+                r.flow.messages_in_total(),
+                "data messages = flow messages in, {at}"
+            );
+            // Templates are on by default: one lookup per bag start.
+            let opened: u64 = obs.metrics.ops.iter().map(|m| m.bags_opened).sum();
+            assert_eq!(
+                r.template_hits + r.template_misses,
+                opened,
+                "template lookups = bags opened, {at}"
+            );
+            assert!(r.template_hits > 0, "the loop replays templates, {at}");
+
+            let output_elems: u64 = r.outputs.values().map(|v| v.len() as u64).sum();
+            assert_eq!(
+                obs.metrics.total_sink_written(),
+                output_elems,
+                "sink writes = output collection sizes, {at}"
+            );
+
+            // Every opened bag closes, on every machine.
+            for (op, m) in obs.metrics.ops.iter().enumerate() {
+                assert_eq!(
+                    m.bags_opened, m.bags_finalized,
+                    "op {op}: opened == finalized, {at}"
+                );
+            }
+            // Conditional-send decisions partition into sent + dropped.
+            let sent: u64 = obs.metrics.edges.iter().map(|e| e.sent_bags).sum();
+            let dropped: u64 = obs.metrics.edges.iter().map(|e| e.dropped_bags).sum();
+            let per_op_sent: u64 = obs.metrics.ops.iter().map(|m| m.cond_sent).sum();
+            let per_op_dropped: u64 = obs.metrics.ops.iter().map(|m| m.cond_dropped).sum();
+            assert_eq!(sent, per_op_sent, "edge/op sent agree, {at}");
+            assert_eq!(dropped, per_op_dropped, "edge/op dropped agree, {at}");
+            assert!(dropped > 0, "the branch must discard some bags, {at}");
         }
-        // Conditional-send decisions partition into sent + dropped.
-        let sent: u64 = obs.metrics.edges.iter().map(|e| e.sent_bags).sum();
-        let dropped: u64 = obs.metrics.edges.iter().map(|e| e.dropped_bags).sum();
-        let per_op_sent: u64 = obs.metrics.ops.iter().map(|m| m.cond_sent).sum();
-        let per_op_dropped: u64 = obs.metrics.ops.iter().map(|m| m.cond_dropped).sum();
-        assert_eq!(sent, per_op_sent, "edge/op sent agree");
-        assert_eq!(dropped, per_op_dropped, "edge/op dropped agree");
-        assert!(dropped > 0, "the branch must discard some bags");
     }
 }
 
