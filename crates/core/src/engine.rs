@@ -3,8 +3,10 @@
 
 use crate::fuse::planned_graph;
 use crate::graph::LogicalGraph;
+use crate::obs::live::{Live, OpCell, WorkerCell};
 use crate::obs::{
-    self, FlightRecorder, FlowRegistry, MemRegistry, ObsLevel, ObsReport, Snapshot, TelemetryHub,
+    self, Counts, FlightRecorder, FlowRegistry, MemRegistry, ObsLevel, ObsReport, Snapshot,
+    TelemetryHub,
 };
 use crate::path::PathRules;
 use crate::rt::{EngineConfig, EngineShared, Msg, Net, RuntimeError, NS_PER_MS, OUTPUT_PREFIX};
@@ -212,8 +214,10 @@ impl Job {
     /// `on_snapshot` and keeps it for [`EngineResult::snapshots`].
     pub(crate) fn sample(&mut self, t_ns: u64, on_snapshot: &mut dyn FnMut(&Snapshot)) {
         let shared = &self.shared;
-        shared.mem.sample();
-        let mut s = shared.telemetry.snapshot(t_ns, self.snapshots.last());
+        let mut s = shared.telemetry.report(t_ns, self.snapshots.last());
+        for w in &mut s.workers {
+            w.elements_in = shared.flow.elements_in(w.machine);
+        }
         s.hot_edge = shared.flow.hottest();
         s.mem = shared.mem.watch_cell();
         on_snapshot(&s);
@@ -245,8 +249,8 @@ impl Job {
             let (deadline_ns, idle_ns) = end.watchdog.unwrap_or((0, 0));
             let mut diag = obs::diagnose(&workers, deadline_ns, idle_ns);
             diag.flight = shared.flight.dump_lines();
-            diag.backpressure = shared.flow.snapshot().backpressure_lines(&shared.graph);
-            diag.retained = shared.mem.snapshot().retained_lines();
+            diag.backpressure = shared.flow.report().backpressure_lines(&shared.graph);
+            diag.retained = shared.mem.report().retained_lines();
             // A fault-injected run names the injected faults: the plan
             // summary plus what the driver's fault layer actually did.
             if shared.config.faults.is_active() {
@@ -255,7 +259,9 @@ impl Job {
                     end.sim.faults_dropped,
                     end.sim.faults_duplicated,
                     end.sim.faults_reordered,
-                    workers.iter().map(Worker::retransmits).sum(),
+                    shared
+                        .telemetry
+                        .total(Live::Worker(WorkerCell::Retransmits)),
                 ));
             }
             return Err(RuntimeError::stalled(reason, diag));
@@ -266,21 +272,25 @@ impl Job {
             obs::attach_topology(&mut report, &shared.graph);
             report
         });
+        let live = shared.telemetry.snapshot();
+        let run = |cell| live.total(Live::Worker(cell));
+        let op_stats = collect_op_stats(&shared.graph, &live, shared.machines);
+        let flow = shared.flow.report();
         Ok(EngineResult {
             outputs: extract_outputs(&shared.fs),
             path: workers[0].path().blocks().to_vec(),
             sim: end.sim,
-            hoist_hits: workers.iter().map(Worker::hoist_hits).sum(),
-            template_hits: workers.iter().map(Worker::template_hits).sum(),
-            template_misses: workers.iter().map(Worker::template_misses).sum(),
-            template_invalidations: workers.iter().map(Worker::template_invalidations).sum(),
-            decisions: workers.iter().map(|w| w.decisions_broadcast).sum(),
-            data_messages: workers.iter().map(|w| w.data_messages).sum(),
-            op_stats: collect_op_stats(&shared.graph, &workers, shared.machines),
+            hoist_hits: op_stats.iter().map(|s| s.hoist_hits).sum(),
+            template_hits: run(WorkerCell::TemplateHits),
+            template_misses: run(WorkerCell::TemplateMisses),
+            template_invalidations: run(WorkerCell::TemplateInvalidations),
+            decisions: run(WorkerCell::Decisions),
+            data_messages: flow.messages_in_total(),
+            op_stats,
             obs: obs_report,
             snapshots: self.snapshots,
-            flow: shared.flow.snapshot(),
-            mem: shared.mem.snapshot(),
+            flow,
+            mem: shared.mem.report(),
         })
     }
 }
@@ -334,28 +344,22 @@ pub fn run_sim_live(
     job.finish(sim.into_world().workers, end)
 }
 
-/// Aggregates per-instance host statistics into per-operator rows.
-fn collect_op_stats(graph: &LogicalGraph, workers: &[Worker], machines: u16) -> Vec<OpStats> {
-    let mut stats: Vec<OpStats> = graph
-        .nodes
-        .iter()
-        .enumerate()
-        .map(|(op, node)| OpStats {
-            op: op as crate::graph::OpId,
-            name: node.name.clone(),
-            kind: node.kind.label(),
-            instances: graph.instances(op as crate::graph::OpId, machines),
-            emitted: 0,
-            hoist_hits: 0,
+/// Per-operator rows, their counts summed over machines from the live
+/// telemetry cells.
+fn collect_op_stats(graph: &LogicalGraph, live: &Counts<Live>, machines: u16) -> Vec<OpStats> {
+    (0..graph.nodes.len() as crate::graph::OpId)
+        .map(|op| {
+            let node = &graph.nodes[op as usize];
+            OpStats {
+                op,
+                name: node.name.clone(),
+                kind: node.kind.label(),
+                instances: graph.instances(op, machines),
+                emitted: live.total(Live::Op(op, OpCell::ElementsOut)),
+                hoist_hits: live.total(Live::Op(op, OpCell::HoistHits)),
+            }
         })
-        .collect();
-    for w in workers {
-        for (op, emitted, hoist) in w.host_stats() {
-            stats[op as usize].emitted += emitted;
-            stats[op as usize].hoist_hits += hoist;
-        }
-    }
-    stats
+        .collect()
 }
 
 #[cfg(test)]

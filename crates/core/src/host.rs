@@ -9,6 +9,7 @@
 //! keeps it driver-agnostic (simulator or threads) and unit-testable.
 
 use crate::graph::{EdgeId, NodeKind, OpId, Partitioning};
+use crate::obs::live::{Live, OpCell, WorkerCell};
 use crate::obs::mem::MemClass;
 use crate::obs::{EventKind, InputRule, ObsBuf};
 use crate::path::{ExecutionPath, SendDecision};
@@ -219,10 +220,6 @@ pub struct Host {
     released_frontier: u32,
     /// Elements read from disk, waiting for the simulated I/O delay.
     pending_io: Option<Batch>,
-    /// Statistics: total elements this instance emitted.
-    pub emitted_elements: u64,
-    /// Statistics: hoisting reuse hits.
-    pub hoist_hits: u64,
     /// Execution-template cache (see [`crate::template`]); `None` when
     /// templates are disabled (by config, or by decision withholding,
     /// whose whole point is perturbing the control plane).
@@ -289,32 +286,16 @@ impl Host {
             outbags: HashMap::new(),
             released_frontier,
             pending_io: None,
-            emitted_elements: 0,
-            hoist_hits: 0,
             templates,
             recording_sends: HashMap::new(),
         }
     }
 
-    /// The logical operator this host runs.
-    pub fn op(&self) -> OpId {
-        self.op
-    }
-
-    /// Bag starts whose control-plane decisions were replayed from a
-    /// template (0 when templates are disabled).
-    pub fn template_hits(&self) -> u64 {
-        self.templates.as_ref().map_or(0, |c| c.hits)
-    }
-
-    /// Bag starts that took the slow path and recorded a template.
-    pub fn template_misses(&self) -> u64 {
-        self.templates.as_ref().map_or(0, |c| c.misses)
-    }
-
-    /// Template replay fallbacks (send-hint divergence, hoist mismatch).
-    pub fn template_invalidations(&self) -> u64 {
-        self.templates.as_ref().map_or(0, |c| c.invalidations)
+    /// Adds `n` to this operator's live `cell` on this machine.
+    fn count(&self, cell: OpCell, n: u64) {
+        self.shared
+            .telemetry
+            .add(self.machine, Live::Op(self.op, cell), n);
     }
 
     /// The path gained block `block` at position `pos`.
@@ -653,7 +634,7 @@ impl Host {
         out: &mut HostOut,
     ) -> Result<(), RuntimeError> {
         let len = pos + 1;
-        self.shared.telemetry.bag_started(self.machine, self.op);
+        self.count(OpCell::BagsStarted, 1);
         out.obs
             .record(out.net, self.op, EventKind::BagOpened { pos, bag_len: len });
         let is_phi = matches!(*self.kind, NodeKind::Phi);
@@ -693,7 +674,11 @@ impl Host {
             out.net.charge(self.shared.config.cost.replay_cost());
         }
         if self.templates.is_some() {
-            self.shared.telemetry.template_lookup(replayed.is_some());
+            let cell = match replayed {
+                Some(_) => WorkerCell::TemplateHits,
+                None => WorkerCell::TemplateMisses,
+            };
+            self.shared.telemetry.bump(self.machine, cell);
         }
         // Selection data collected on the slow path for recording.
         let mut rec_phi: Option<(usize, u32)> = None;
@@ -801,7 +786,7 @@ impl Host {
             if hoist_input.is_some_and(|i| sel[i] == Some(bag_len)) {
                 state = kept;
                 reused = true;
-                self.hoist_hits += 1;
+                self.count(OpCell::HoistHits, 1);
                 out.obs
                     .record(out.net, self.op, EventKind::HoistHit { pos, bag_len });
             }
@@ -817,7 +802,9 @@ impl Host {
             match template_id {
                 Some(id) => {
                     if cache.note_hoist(id, reused) {
-                        self.shared.telemetry.template_invalidated();
+                        self.shared
+                            .telemetry
+                            .bump(self.machine, WorkerCell::TemplateInvalidations);
                     }
                 }
                 None => {
@@ -1368,7 +1355,7 @@ impl Host {
         if let Some(outbag) = self.outbags.get_mut(&active.len) {
             outbag.finalized = true;
         }
-        self.shared.telemetry.bag_finished(self.machine, self.op);
+        self.count(OpCell::BagsFinished, 1);
         out.obs.record(
             out.net,
             self.op,
@@ -1397,10 +1384,7 @@ impl Host {
             return Ok(());
         }
         let n = batch.len();
-        self.emitted_elements += n as u64;
-        self.shared
-            .telemetry
-            .elements_out(self.machine, self.op, n as u64);
+        self.count(OpCell::ElementsOut, n as u64);
         let bag_len = self.current.as_ref().expect("active").len;
         if out.obs.enabled() {
             out.obs.record(
@@ -1619,9 +1603,10 @@ impl Host {
                         Some(HintStep::Pending { cursor }) => (SendDecision::Undecided, cursor),
                         Some(HintStep::Mismatch { cursor: from }) => {
                             *hint = None;
-                            if let Some(cache) = self.templates.as_mut() {
-                                cache.invalidations += 1;
-                                self.shared.telemetry.template_invalidated();
+                            if self.templates.is_some() {
+                                self.shared
+                                    .telemetry
+                                    .bump(self.machine, WorkerCell::TemplateInvalidations);
                             }
                             self.shared.rules.decide_send(edge, path, bag_len, from)
                         }

@@ -1,23 +1,17 @@
 //! Data-plane flow accounting: per-edge byte/element/message counters,
 //! relay inflight-window watermarks and queue-depth/backpressure
-//! sampling, always on like the [`crate::obs::live::TelemetryHub`].
+//! sampling, always on like the [`crate::obs::live::TelemetryHub`]: the
+//! [`Flow`] key family of the [`crate::obs::counters`] store.
 //!
 //! Every data-plane send ([`crate::rt::Msg::Data`] /
-//! [`crate::rt::Msg::BagDone`]) bumps a per-`(edge, source machine)`
-//! shard on the way out (in `Host::send_batches` and the punctuation
-//! emitter) and a per-`(edge, destination machine)` shard on the way in
-//! (in `Worker::ingest`, **after** the relay's duplicate filter — so the
-//! receive-side totals reconcile exactly with
+//! [`crate::rt::Msg::BagDone`]) bumps `(edge, source machine)` cells on
+//! the way out (in `Host::send_batches` and the punctuation emitter) and
+//! `(edge, destination machine)` cells on the way in (in
+//! `Worker::ingest`, **after** the relay's duplicate filter). The
+//! receive-side message total *is*
 //! [`crate::engine::EngineResult::data_messages`], retransmissions and
-//! duplicates included). Retransmitted wire bytes are accounted
-//! separately by the relay.
-//!
-//! Design constraints, matching the telemetry hub and flight recorder:
-//! - **Zero virtual time**: no counter update touches [`crate::rt::Net`],
-//!   so accounting cannot move a simulated result.
-//! - **Sharded single writers**: each `(edge, machine)` shard is written
-//!   only by that machine's worker thread, so relaxed atomics suffice and
-//!   per-shard reads can never observe a counter moving backwards.
+//! duplicates included. Retransmitted wire bytes are accounted separately
+//! by the relay.
 //!
 //! The drivers sample queue depths into the registry from their existing
 //! sampling loops (`Sim::run_sampled` between events at exact virtual-time
@@ -32,73 +26,76 @@
 //! land in [`crate::obs::watchdog::StallReport::backpressure`].
 
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::graph::{EdgeId, LogicalGraph};
+use crate::obs::counters::{Counters, Counts, Key};
 use crate::obs::expo::{family, labels, object, Kind};
 use crate::obs::fmt_ns;
-
-/// All counter traffic is single-writer-per-shard (or commutative adds),
-/// so relaxed ordering is sufficient everywhere.
-const RELAXED: Ordering = Ordering::Relaxed;
 
 /// Unacked relay-window size at or above which an edge counts as
 /// backpressured for the duration of one sampling interval.
 pub const BACKPRESSURE_WINDOW: u64 = 4;
 
-/// Send-side counters for one `(edge, source machine)` shard. Single
-/// writer: the source machine's worker thread.
-#[derive(Debug, Default)]
-struct OutShard {
-    msgs: AtomicU64,
-    elems: AtomicU64,
-    bytes: AtomicU64,
-    remote_bytes: AtomicU64,
-    retrans_msgs: AtomicU64,
-    retrans_bytes: AtomicU64,
-    inflight: AtomicU64,
-    inflight_hwm: AtomicU64,
+/// The engine-wide flow-accounting registry: a [`Counters`] store of the
+/// [`Flow`] family, shared through [`crate::rt::EngineShared`].
+pub type FlowRegistry = Counters<Flow>;
+
+/// A flow counter within machine `m`'s row.
+#[derive(Clone, Copy, Debug)]
+pub enum Flow {
+    /// Machine `m`'s sampled inbox-occupancy high-watermark (sampler-owned).
+    InboxHwm,
+    /// One of `edge`'s cells: send side at source machine `m`, receive
+    /// side at destination machine `m`.
+    Edge(EdgeId, EdgeCell),
 }
 
-/// Receive-side counters for one `(edge, destination machine)` shard.
-/// Single writer: the destination machine's worker thread, post-dedup.
-#[derive(Debug, Default)]
-struct InShard {
-    msgs: AtomicU64,
-    elems: AtomicU64,
+/// The per-`(edge, machine)` flow cells.
+#[derive(Clone, Copy, Debug)]
+pub enum EdgeCell {
+    /// Logical messages sent (first transmissions).
+    MsgsOut,
+    /// Elements sent.
+    ElemsOut,
+    /// Serialized wire bytes of first transmissions.
+    Bytes,
+    /// The subset of `Bytes` that crossed machines.
+    RemoteBytes,
+    /// Retransmitted messages.
+    RetransMsgs,
+    /// Retransmitted wire bytes.
+    RetransBytes,
+    /// Unacked messages in the sender's relay window.
+    Inflight,
+    /// High-watermark of `Inflight`.
+    InflightHwm,
+    /// Messages delivered post-dedup.
+    MsgsIn,
+    /// Elements delivered post-dedup.
+    ElemsIn,
+    /// Sampled backpressure time; kept in row 0 and owned by the sampler.
+    Backpressure,
 }
 
-/// One edge's shards plus its sampler-owned backpressure accumulator.
-#[derive(Debug)]
-struct EdgeLane {
-    out: Vec<OutShard>,
-    inn: Vec<InShard>,
-    backpressure_ns: AtomicU64,
-}
+const EDGE_CELLS: usize = EdgeCell::Backpressure as usize + 1;
 
-/// The engine-wide flow-accounting registry, shared through
-/// [`crate::rt::EngineShared`] next to the telemetry hub.
-#[derive(Debug)]
-pub struct FlowRegistry {
-    lanes: Vec<EdgeLane>,
-    inbox_hwm: Vec<AtomicU64>,
+impl Key for Flow {
+    fn cell(self) -> usize {
+        match self {
+            Flow::InboxHwm => 0,
+            Flow::Edge(e, c) => 1 + e as usize * EDGE_CELLS + c as usize,
+        }
+    }
 }
 
 impl FlowRegistry {
-    /// Allocates per-`(edge, machine)` shards for a graph with `edges`
-    /// edges on `machines` machines.
+    /// A registry for a graph with `edges` edges on `machines` machines.
     pub fn new(machines: u16, edges: usize) -> FlowRegistry {
-        let lanes = (0..edges)
-            .map(|_| EdgeLane {
-                out: (0..machines).map(|_| OutShard::default()).collect(),
-                inn: (0..machines).map(|_| InShard::default()).collect(),
-                backpressure_ns: AtomicU64::new(0),
-            })
-            .collect();
-        FlowRegistry {
-            lanes,
-            inbox_hwm: (0..machines).map(|_| AtomicU64::new(0)).collect(),
-        }
+        Counters::zeroed(machines, 1 + edges * EDGE_CELLS)
+    }
+
+    fn edges(&self) -> EdgeId {
+        ((self.width() - 1) / EDGE_CELLS) as EdgeId
     }
 
     /// Records one logical data-plane send on `edge` from machine `src`
@@ -107,86 +104,46 @@ impl FlowRegistry {
     /// crosses machines).
     #[inline]
     pub fn msg_out(&self, edge: EdgeId, src: u16, dst: u16, elems: u64, bytes: u64) {
-        let Some(shard) = self
-            .lanes
-            .get(edge as usize)
-            .and_then(|l| l.out.get(src as usize))
-        else {
-            return;
-        };
-        shard.msgs.fetch_add(1, RELAXED);
-        shard.elems.fetch_add(elems, RELAXED);
-        shard.bytes.fetch_add(bytes, RELAXED);
+        let cell = |c| Flow::Edge(edge, c);
+        self.add(src, cell(EdgeCell::MsgsOut), 1);
+        self.add(src, cell(EdgeCell::ElemsOut), elems);
+        self.add(src, cell(EdgeCell::Bytes), bytes);
         if src != dst {
-            shard.remote_bytes.fetch_add(bytes, RELAXED);
+            self.add(src, cell(EdgeCell::RemoteBytes), bytes);
         }
     }
 
     /// Records one delivered (post-dedup) data-plane message on `edge` at
     /// destination machine `dst` carrying `elems` elements. Called from
-    /// `Worker::ingest` on the same messages that bump `data_messages`,
-    /// so `sum(messages_in) == data_messages` holds exactly.
+    /// `Worker::ingest` on every delivered data-plane message, so
+    /// `sum(messages_in)` is the engine's `data_messages`.
     #[inline]
     pub fn msg_in(&self, edge: EdgeId, dst: u16, elems: u64) {
-        let Some(shard) = self
-            .lanes
-            .get(edge as usize)
-            .and_then(|l| l.inn.get(dst as usize))
-        else {
-            return;
-        };
-        shard.msgs.fetch_add(1, RELAXED);
-        shard.elems.fetch_add(elems, RELAXED);
+        self.add(dst, Flow::Edge(edge, EdgeCell::MsgsIn), 1);
+        self.add(dst, Flow::Edge(edge, EdgeCell::ElemsIn), elems);
     }
 
     /// Records one retransmission of `bytes` wire bytes on `edge` from
     /// machine `src` (the relay's `on_tick` resend loop).
     #[inline]
     pub fn retransmit(&self, edge: EdgeId, src: u16, bytes: u64) {
-        let Some(shard) = self
-            .lanes
-            .get(edge as usize)
-            .and_then(|l| l.out.get(src as usize))
-        else {
-            return;
-        };
-        shard.retrans_msgs.fetch_add(1, RELAXED);
-        shard.retrans_bytes.fetch_add(bytes, RELAXED);
+        self.add(src, Flow::Edge(edge, EdgeCell::RetransMsgs), 1);
+        self.add(src, Flow::Edge(edge, EdgeCell::RetransBytes), bytes);
     }
 
     /// Notes one more unacknowledged message in `edge`'s relay window at
     /// sender `src`, updating the high-watermark.
     #[inline]
     pub fn inflight_inc(&self, edge: EdgeId, src: u16) {
-        let Some(shard) = self
-            .lanes
-            .get(edge as usize)
-            .and_then(|l| l.out.get(src as usize))
-        else {
-            return;
-        };
-        let now = shard.inflight.fetch_add(1, RELAXED) + 1;
-        if now > shard.inflight_hwm.load(RELAXED) {
-            shard.inflight_hwm.store(now, RELAXED);
-        }
+        let now = self.add(src, Flow::Edge(edge, EdgeCell::Inflight), 1);
+        self.raise(src, Flow::Edge(edge, EdgeCell::InflightHwm), now);
     }
 
     /// Notes one acknowledged (or abandoned) message leaving `edge`'s
     /// relay window at sender `src`.
     #[inline]
     pub fn inflight_dec(&self, edge: EdgeId, src: u16) {
-        let Some(shard) = self
-            .lanes
-            .get(edge as usize)
-            .and_then(|l| l.out.get(src as usize))
-        else {
-            return;
-        };
-        // Saturating: a dec without a matching inc (never expected) must
-        // not wrap the gauge.
-        let _ = shard
-            .inflight
-            .fetch_update(RELAXED, RELAXED, |v| Some(v.saturating_sub(1)));
+        self.sub(src, Flow::Edge(edge, EdgeCell::Inflight), 1);
     }
 
     /// One queue-depth sample from a driver's sampling loop: `depths` is
@@ -198,20 +155,24 @@ impl FlowRegistry {
     /// touches the [`crate::rt::Net`], so sampling stays free of virtual
     /// time.
     pub fn sample_queues(&self, depths: &[usize], interval_ns: u64) {
-        for (hwm, &d) in self.inbox_hwm.iter().zip(depths) {
-            if d as u64 > hwm.load(RELAXED) {
-                hwm.store(d as u64, RELAXED);
-            }
+        for (m, &d) in depths.iter().enumerate() {
+            self.raise(m as u16, Flow::InboxHwm, d as u64);
         }
         if interval_ns == 0 {
             return;
         }
-        for lane in &self.lanes {
-            let window: u64 = lane.out.iter().map(|s| s.inflight.load(RELAXED)).sum();
-            if window >= BACKPRESSURE_WINDOW {
-                lane.backpressure_ns.fetch_add(interval_ns, RELAXED);
+        for e in 0..self.edges() {
+            if self.total(Flow::Edge(e, EdgeCell::Inflight)) >= BACKPRESSURE_WINDOW {
+                self.add(0, Flow::Edge(e, EdgeCell::Backpressure), interval_ns);
             }
         }
+    }
+
+    /// Elements delivered to machine `m` so far, over all edges.
+    pub fn elements_in(&self, m: u16) -> u64 {
+        (0..self.edges())
+            .map(|e| self.get(m, Flow::Edge(e, EdgeCell::ElemsIn)))
+            .sum()
     }
 
     /// The edge currently carrying the most serialized bytes, as
@@ -219,56 +180,19 @@ impl FlowRegistry {
     /// until any data-plane bytes moved. Ties break
     /// toward the lowest edge id, keeping simulator runs deterministic.
     pub fn hottest(&self) -> Option<(EdgeId, u64, u64)> {
-        self.lanes
-            .iter()
-            .enumerate()
-            .map(|(e, lane)| {
-                let bytes: u64 = lane.out.iter().map(|s| s.bytes.load(RELAXED)).sum();
-                let elems: u64 = lane.out.iter().map(|s| s.elems.load(RELAXED)).sum();
-                (e as EdgeId, bytes, elems)
+        (0..self.edges())
+            .map(|e| {
+                let bytes = self.total(Flow::Edge(e, EdgeCell::Bytes));
+                (e, bytes, self.total(Flow::Edge(e, EdgeCell::ElemsOut)))
             })
             .filter(|&(_, bytes, _)| bytes > 0)
             .max_by_key(|&(e, bytes, _)| (bytes, std::cmp::Reverse(e)))
     }
 
-    /// An immutable snapshot of every counter. Relaxed reads over
-    /// single-writer shards: taken after the drivers join (or at a stall),
-    /// when the writers have quiesced.
-    pub fn snapshot(&self) -> FlowReport {
-        let edges = self
-            .lanes
-            .iter()
-            .enumerate()
-            .map(|(e, lane)| EdgeFlow {
-                edge: e as EdgeId,
-                out: lane
-                    .out
-                    .iter()
-                    .map(|s| MachineOut {
-                        msgs: s.msgs.load(RELAXED),
-                        elems: s.elems.load(RELAXED),
-                        bytes: s.bytes.load(RELAXED),
-                        remote_bytes: s.remote_bytes.load(RELAXED),
-                        retrans_msgs: s.retrans_msgs.load(RELAXED),
-                        retrans_bytes: s.retrans_bytes.load(RELAXED),
-                        inflight_hwm: s.inflight_hwm.load(RELAXED),
-                    })
-                    .collect(),
-                inn: lane
-                    .inn
-                    .iter()
-                    .map(|s| MachineIn {
-                        msgs: s.msgs.load(RELAXED),
-                        elems: s.elems.load(RELAXED),
-                    })
-                    .collect(),
-                backpressure_ns: lane.backpressure_ns.load(RELAXED),
-            })
-            .collect();
-        FlowReport {
-            edges,
-            inbox_hwm: self.inbox_hwm.iter().map(|h| h.load(RELAXED)).collect(),
-        }
+    /// The [`FlowReport`] of every counter so far: taken after the drivers
+    /// join (or at a stall), when the writers have quiesced.
+    pub fn report(&self) -> FlowReport {
+        FlowReport::from_counts(&self.snapshot(), self.edges())
     }
 }
 
@@ -376,6 +300,40 @@ pub struct FlowReport {
 }
 
 impl FlowReport {
+    fn from_counts(c: &Counts<Flow>, edges: EdgeId) -> FlowReport {
+        let machines = 0..c.machines() as u16;
+        let edge = |e: EdgeId| {
+            let at = |m, cell| c.get(m, Flow::Edge(e, cell));
+            EdgeFlow {
+                edge: e,
+                out: machines
+                    .clone()
+                    .map(|m| MachineOut {
+                        msgs: at(m, EdgeCell::MsgsOut),
+                        elems: at(m, EdgeCell::ElemsOut),
+                        bytes: at(m, EdgeCell::Bytes),
+                        remote_bytes: at(m, EdgeCell::RemoteBytes),
+                        retrans_msgs: at(m, EdgeCell::RetransMsgs),
+                        retrans_bytes: at(m, EdgeCell::RetransBytes),
+                        inflight_hwm: at(m, EdgeCell::InflightHwm),
+                    })
+                    .collect(),
+                inn: machines
+                    .clone()
+                    .map(|m| MachineIn {
+                        msgs: at(m, EdgeCell::MsgsIn),
+                        elems: at(m, EdgeCell::ElemsIn),
+                    })
+                    .collect(),
+                backpressure_ns: at(0, EdgeCell::Backpressure),
+            }
+        };
+        FlowReport {
+            edges: (0..edges).map(edge).collect(),
+            inbox_hwm: machines.clone().map(|m| c.get(m, Flow::InboxHwm)).collect(),
+        }
+    }
+
     /// Total data-plane messages delivered post-dedup, across all edges.
     /// Reconciles exactly with
     /// [`crate::engine::EngineResult::data_messages`].
@@ -751,7 +709,7 @@ mod tests {
         reg.msg_in(1, 1, 10);
         reg.msg_in(1, 0, 7);
         reg.retransmit(1, 0, 124);
-        let r = reg.snapshot();
+        let r = reg.report();
         let e = &r.edges[1];
         assert_eq!(e.msgs_out(), 3);
         assert_eq!(e.elems_out(), 17);
@@ -775,19 +733,19 @@ mod tests {
         reg.inflight_dec(0, 0);
         reg.inflight_dec(0, 0);
         reg.inflight_inc(0, 0);
-        let r = reg.snapshot();
+        let r = reg.report();
         assert_eq!(r.edges[0].inflight_hwm(), 5);
         // Backpressure sampling charges the interval while the window is
         // at or above the threshold (current window: 4).
         reg.sample_queues(&[3, 0], 1_000);
         reg.sample_queues(&[7, 1], 1_000);
-        let r = reg.snapshot();
+        let r = reg.report();
         assert_eq!(r.edges[0].backpressure_ns, 2_000);
         assert_eq!(r.inbox_hwm, vec![7, 1]);
         reg.inflight_dec(0, 0);
         reg.sample_queues(&[0, 0], 1_000);
         assert_eq!(
-            reg.snapshot().edges[0].backpressure_ns,
+            reg.report().edges[0].backpressure_ns,
             2_000,
             "below the window threshold no time is charged"
         );
@@ -813,7 +771,7 @@ mod tests {
         // Pretend edge 0 (readFile+map.. → reduce-ish) carried traffic.
         reg.msg_out(0, 0, 1, 40, 400);
         reg.msg_in(0, 1, 40);
-        let r = reg.snapshot();
+        let r = reg.report();
         let text = r.render(&graph);
         assert!(text.contains("top edges by bytes"), "{text}");
         assert!(text.contains("400B"), "{text}");
@@ -837,7 +795,7 @@ mod tests {
         // A quiet report contributes nothing to explain.
         assert_eq!(
             FlowRegistry::new(2, graph.edges.len())
-                .snapshot()
+                .report()
                 .explain_rows(&graph),
             ""
         );
@@ -848,13 +806,13 @@ mod tests {
         let graph = toy_graph();
         let reg = FlowRegistry::new(2, graph.edges.len());
         reg.msg_out(0, 0, 1, 40, 400);
-        let r = reg.snapshot();
+        let r = reg.report();
         assert!(r.backpressure_lines(&graph).is_empty());
         for _ in 0..BACKPRESSURE_WINDOW {
             reg.inflight_inc(0, 0);
         }
         reg.sample_queues(&[0, 0], 5_000_000);
-        let lines = reg.snapshot().backpressure_lines(&graph);
+        let lines = reg.report().backpressure_lines(&graph);
         assert_eq!(lines.len(), 1, "{lines:?}");
         assert!(lines[0].contains("backpressured 5.00ms"), "{}", lines[0]);
     }

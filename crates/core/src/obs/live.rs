@@ -2,12 +2,15 @@
 //! read **while a job runs** — the one thing the post-mortem layer in
 //! [`super`] cannot do.
 //!
-//! A [`TelemetryHub`] lives in [`crate::rt::EngineShared`], so every worker
-//! and host of one job shares it. Hosts bump per-worker and per-operator
-//! counters on the hot path with `Ordering::Relaxed` stores — no locks, no
-//! clock reads beyond the one the worker already performs per message, no
-//! virtual-time charges — cheap enough to stay on at every
-//! [`super::ObsLevel`], including `Off`.
+//! A [`TelemetryHub`] is the [`Live`] key family of the
+//! [`super::counters`] store and lives in [`crate::rt::EngineShared`], so
+//! every worker and host of one job shares it. Each machine bumps its own
+//! per-worker and per-`(machine, op)` cells on the hot path — no locks, no
+//! read-modify-writes, no clock reads beyond the one the worker already
+//! performs per message, no virtual-time charges — cheap enough to stay
+//! on at every [`super::ObsLevel`], including `Off`. The run's totals in
+//! [`crate::engine::EngineResult`] (emitted elements, hoist hits, template
+//! counters, decisions) are read from the same cells at join.
 //!
 //! The drivers periodically turn the hub into immutable [`Snapshot`]s: the
 //! thread driver on a wall-clock interval from its monitor loop, the
@@ -24,198 +27,144 @@
 //! coherence orders its values), and under the single-threaded simulator
 //! snapshots *are* exact cuts. See `DESIGN.md` §6.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use crate::obs::counters::{Counters, Key};
 
-/// All hub updates and snapshot reads use relaxed ordering: the counters
-/// are independent monotone statistics, never used to synchronize memory.
-const RELAXED: Ordering = Ordering::Relaxed;
+/// The shared live-telemetry hub of one job: a [`Counters`] store of the
+/// [`Live`] family, built by [`crate::engine::Job::new`]; see the module
+/// docs for the design.
+pub type TelemetryHub = Counters<Live>;
 
-/// Per-worker live counters (one block per machine, updated only by that
-/// machine's worker; read concurrently by the sampler).
-#[derive(Debug, Default)]
-pub struct WorkerTelemetry {
-    elements_in: AtomicU64,
-    elements_out: AtomicU64,
-    bags_started: AtomicU64,
-    bags_finished: AtomicU64,
-    current_block: AtomicU32,
-    path_depth: AtomicU32,
-    last_progress_ns: AtomicU64,
-    msgs_handled: AtomicU64,
-    retransmits: AtomicU64,
-    dups_dropped: AtomicU64,
+/// A live counter within machine `m`'s row.
+#[derive(Clone, Copy, Debug)]
+pub enum Live {
+    /// One of machine `m`'s own counters.
+    Worker(WorkerCell),
+    /// One of operator `op`'s counters, as counted by its instance on
+    /// machine `m`.
+    Op(u32, OpCell),
 }
 
-/// Per-operator live counters, summed across all instances/machines.
-#[derive(Debug, Default)]
-pub struct OpTelemetry {
-    bags_started: AtomicU64,
-    bags_finished: AtomicU64,
-    elements_out: AtomicU64,
+/// The per-machine live counters.
+#[derive(Clone, Copy, Debug)]
+pub enum WorkerCell {
+    /// The basic block most recently appended to the local path (gauge).
+    CurrentBlock,
+    /// The local execution path's depth (gauge).
+    PathDepth,
+    /// When the worker last handled a message (gauge).
+    LastProgressNs,
+    /// Messages handled.
+    MsgsHandled,
+    /// Relay envelopes retransmitted.
+    Retransmits,
+    /// Duplicate deliveries discarded.
+    DupsDropped,
+    /// Template lookups that replayed.
+    TemplateHits,
+    /// Template lookups that took the slow path.
+    TemplateMisses,
+    /// Template replays abandoned mid-bag.
+    TemplateInvalidations,
+    /// Control-flow decisions broadcast.
+    Decisions,
 }
 
-/// The shared live-telemetry hub of one job: per-worker and per-operator
-/// relaxed-atomic counters. Created by the drivers alongside
-/// [`crate::rt::EngineShared`]; see the module docs for the design.
-#[derive(Debug)]
-pub struct TelemetryHub {
-    workers: Vec<WorkerTelemetry>,
-    ops: Vec<OpTelemetry>,
-    // Job-wide template-cache counters (all hosts, all machines): lookups
-    // that replayed, lookups that recorded, replays abandoned mid-bag.
-    template_hits: AtomicU64,
-    template_misses: AtomicU64,
-    template_invalidations: AtomicU64,
+/// The per-`(machine, op)` live counters.
+#[derive(Clone, Copy, Debug)]
+pub enum OpCell {
+    /// Output bags opened.
+    BagsStarted,
+    /// Output bags finalized.
+    BagsFinished,
+    /// Elements emitted.
+    ElementsOut,
+    /// Loop-invariant hoisting reuse hits.
+    HoistHits,
+}
+
+const WORKER_CELLS: usize = WorkerCell::Decisions as usize + 1;
+const OP_CELLS: usize = OpCell::HoistHits as usize + 1;
+
+impl Key for Live {
+    fn cell(self) -> usize {
+        match self {
+            Live::Worker(c) => c as usize,
+            Live::Op(op, c) => WORKER_CELLS + op as usize * OP_CELLS + c as usize,
+        }
+    }
 }
 
 impl TelemetryHub {
     /// Creates a hub for `machines` workers over `n_ops` logical operators.
     pub fn new(machines: u16, n_ops: usize) -> TelemetryHub {
-        TelemetryHub {
-            workers: (0..machines).map(|_| WorkerTelemetry::default()).collect(),
-            ops: (0..n_ops).map(|_| OpTelemetry::default()).collect(),
-            template_hits: AtomicU64::new(0),
-            template_misses: AtomicU64::new(0),
-            template_invalidations: AtomicU64::new(0),
-        }
+        Counters::zeroed(machines, WORKER_CELLS + n_ops * OP_CELLS)
     }
 
-    /// Records a template-cache lookup outcome (job-wide; called by hosts
-    /// on every bag start while templates are enabled).
-    #[inline]
-    pub fn template_lookup(&self, hit: bool) {
-        if hit {
-            self.template_hits.fetch_add(1, RELAXED);
-        } else {
-            self.template_misses.fetch_add(1, RELAXED);
-        }
+    fn ops(&self) -> u32 {
+        ((self.width() - WORKER_CELLS) / OP_CELLS) as u32
     }
 
-    /// Records a template replay abandoned mid-bag (send-hint divergence
-    /// or hoist disagreement).
+    /// Adds one to one of `machine`'s own counters.
     #[inline]
-    pub fn template_invalidated(&self) {
-        self.template_invalidations.fetch_add(1, RELAXED);
+    pub fn bump(&self, machine: u16, cell: WorkerCell) {
+        self.add(machine, Live::Worker(cell), 1);
     }
 
     /// Records a message handled by `machine`'s worker at time `now_ns`
     /// (the last-progress timestamp the stall watchdog watches).
     #[inline]
     pub fn touch(&self, machine: u16, now_ns: u64) {
-        let w = &self.workers[machine as usize];
-        w.last_progress_ns.store(now_ns, RELAXED);
-        w.msgs_handled.fetch_add(1, RELAXED);
+        self.set(machine, Live::Worker(WorkerCell::LastProgressNs), now_ns);
+        self.bump(machine, WorkerCell::MsgsHandled);
     }
 
     /// Records the control-flow manager's position: the block just appended
     /// and the resulting execution-path depth.
     #[inline]
     pub fn position(&self, machine: u16, block: u32, depth: u32) {
-        let w = &self.workers[machine as usize];
-        w.current_block.store(block, RELAXED);
-        w.path_depth.store(depth, RELAXED);
-    }
-
-    /// Records elements received by a host on `machine`.
-    #[inline]
-    pub fn elements_in(&self, machine: u16, n: u64) {
-        self.workers[machine as usize]
-            .elements_in
-            .fetch_add(n, RELAXED);
-    }
-
-    /// Records elements emitted by an instance of `op` on `machine`.
-    #[inline]
-    pub fn elements_out(&self, machine: u16, op: u32, n: u64) {
-        self.workers[machine as usize]
-            .elements_out
-            .fetch_add(n, RELAXED);
-        self.ops[op as usize].elements_out.fetch_add(n, RELAXED);
-    }
-
-    /// Records an output bag opened by an instance of `op` on `machine`.
-    #[inline]
-    pub fn bag_started(&self, machine: u16, op: u32) {
-        self.workers[machine as usize]
-            .bags_started
-            .fetch_add(1, RELAXED);
-        self.ops[op as usize].bags_started.fetch_add(1, RELAXED);
-    }
-
-    /// Records an output bag finalized by an instance of `op` on `machine`.
-    #[inline]
-    pub fn bag_finished(&self, machine: u16, op: u32) {
-        self.workers[machine as usize]
-            .bags_finished
-            .fetch_add(1, RELAXED);
-        self.ops[op as usize].bags_finished.fetch_add(1, RELAXED);
-    }
-
-    /// Records a relay retransmission by `machine`'s worker
-    /// (fault-injection runs only).
-    #[inline]
-    pub fn retransmit(&self, machine: u16) {
-        self.workers[machine as usize]
-            .retransmits
-            .fetch_add(1, RELAXED);
-    }
-
-    /// Records a duplicate delivery discarded by `machine`'s worker
-    /// (fault-injection runs only).
-    #[inline]
-    pub fn dup_dropped(&self, machine: u16) {
-        self.workers[machine as usize]
-            .dups_dropped
-            .fetch_add(1, RELAXED);
+        let at = Live::Worker;
+        self.set(machine, at(WorkerCell::CurrentBlock), block.into());
+        self.set(machine, at(WorkerCell::PathDepth), depth.into());
     }
 
     /// One worker's last-progress timestamp — the quantity the stall
     /// watchdog compares against its deadline.
     pub fn worker_progress_ns(&self, machine: u16) -> u64 {
-        self.workers[machine as usize]
-            .last_progress_ns
-            .load(RELAXED)
+        self.get(machine, Live::Worker(WorkerCell::LastProgressNs))
     }
 
-    /// The most recent last-progress timestamp across all workers.
-    pub fn latest_progress_ns(&self) -> u64 {
-        self.workers
-            .iter()
-            .map(|w| w.last_progress_ns.load(RELAXED))
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Captures an immutable [`Snapshot`] at time `t_ns`, computing deltas
-    /// against `prev` (the previous snapshot, if any).
-    pub fn snapshot(&self, t_ns: u64, prev: Option<&Snapshot>) -> Snapshot {
-        let workers: Vec<WorkerSnapshot> = self
-            .workers
-            .iter()
-            .enumerate()
-            .map(|(m, w)| WorkerSnapshot {
-                machine: m as u16,
-                elements_in: w.elements_in.load(RELAXED),
-                elements_out: w.elements_out.load(RELAXED),
-                bags_started: w.bags_started.load(RELAXED),
-                bags_finished: w.bags_finished.load(RELAXED),
-                current_block: w.current_block.load(RELAXED),
-                path_depth: w.path_depth.load(RELAXED),
-                last_progress_ns: w.last_progress_ns.load(RELAXED),
-                msgs_handled: w.msgs_handled.load(RELAXED),
-                retransmits: w.retransmits.load(RELAXED),
-                dups_dropped: w.dups_dropped.load(RELAXED),
+    /// Reads the hub into a [`Snapshot`] at time `t_ns`, computing deltas
+    /// against `prev` (the previous snapshot, if any). The flow- and
+    /// memory-derived fields (`elements_in`, `hot_edge`, `mem`) are left
+    /// for the caller to fill in.
+    pub fn report(&self, t_ns: u64, prev: Option<&Snapshot>) -> Snapshot {
+        let c = self.snapshot();
+        let ops = 0..self.ops();
+        let workers: Vec<WorkerSnapshot> = (0..c.machines() as u16)
+            .map(|m| {
+                let w = |cell| c.get(m, Live::Worker(cell));
+                let per_op = |cell| ops.clone().map(|op| c.get(m, Live::Op(op, cell))).sum();
+                WorkerSnapshot {
+                    machine: m,
+                    elements_in: 0,
+                    elements_out: per_op(OpCell::ElementsOut),
+                    bags_started: per_op(OpCell::BagsStarted),
+                    bags_finished: per_op(OpCell::BagsFinished),
+                    current_block: w(WorkerCell::CurrentBlock) as u32,
+                    path_depth: w(WorkerCell::PathDepth) as u32,
+                    last_progress_ns: w(WorkerCell::LastProgressNs),
+                    msgs_handled: w(WorkerCell::MsgsHandled),
+                    retransmits: w(WorkerCell::Retransmits),
+                    dups_dropped: w(WorkerCell::DupsDropped),
+                }
             })
             .collect();
-        let ops: Vec<OpSnapshot> = self
-            .ops
-            .iter()
-            .enumerate()
-            .map(|(op, o)| OpSnapshot {
-                op: op as u32,
-                bags_started: o.bags_started.load(RELAXED),
-                bags_finished: o.bags_finished.load(RELAXED),
-                elements_out: o.elements_out.load(RELAXED),
+        let ops: Vec<OpSnapshot> = ops
+            .map(|op| OpSnapshot {
+                op,
+                bags_started: c.total(Live::Op(op, OpCell::BagsStarted)),
+                bags_finished: c.total(Live::Op(op, OpCell::BagsFinished)),
+                elements_out: c.total(Live::Op(op, OpCell::ElementsOut)),
             })
             .collect();
         let total_out: u64 = workers.iter().map(|w| w.elements_out).sum();
@@ -226,6 +175,7 @@ impl TelemetryHub {
             ),
             None => (t_ns, total_out),
         };
+        let run = |cell| c.total(Live::Worker(cell));
         Snapshot {
             t_ns,
             delta_ns,
@@ -235,9 +185,9 @@ impl TelemetryHub {
             hot_edge: None,
             mem: None,
             templates: (
-                self.template_hits.load(RELAXED),
-                self.template_misses.load(RELAXED),
-                self.template_invalidations.load(RELAXED),
+                run(WorkerCell::TemplateHits),
+                run(WorkerCell::TemplateMisses),
+                run(WorkerCell::TemplateInvalidations),
             ),
         }
     }
@@ -248,7 +198,9 @@ impl TelemetryHub {
 pub struct WorkerSnapshot {
     /// The machine this worker runs on.
     pub machine: u16,
-    /// Elements received by this worker's hosts.
+    /// Elements received by this worker's hosts — filled in by the
+    /// drivers from the flow registry
+    /// ([`crate::obs::flow::FlowRegistry::elements_in`]).
     pub elements_in: u64,
     /// Elements emitted by this worker's hosts.
     pub elements_out: u64,
@@ -470,15 +422,15 @@ mod tests {
     #[test]
     fn deltas_accumulate_between_snapshots() {
         let hub = TelemetryHub::new(2, 3);
-        hub.elements_out(0, 1, 10);
-        hub.bag_started(0, 1);
-        let s1 = hub.snapshot(100, None);
+        hub.add(0, Live::Op(1, OpCell::ElementsOut), 10);
+        hub.add(0, Live::Op(1, OpCell::BagsStarted), 1);
+        let s1 = hub.report(100, None);
         assert_eq!(s1.total_elements_out(), 10);
         assert_eq!(s1.delta_elements_out, 10);
         assert_eq!(s1.inflight_bags(), 1);
-        hub.elements_out(1, 2, 5);
-        hub.bag_finished(0, 1);
-        let s2 = hub.snapshot(300, Some(&s1));
+        hub.add(1, Live::Op(2, OpCell::ElementsOut), 5);
+        hub.add(0, Live::Op(1, OpCell::BagsFinished), 1);
+        let s2 = hub.report(300, Some(&s1));
         assert_eq!(s2.delta_ns, 200);
         assert_eq!(s2.delta_elements_out, 5);
         assert_eq!(s2.inflight_bags(), 0);
@@ -490,13 +442,27 @@ mod tests {
         let hub = TelemetryHub::new(2, 1);
         hub.touch(1, 42);
         hub.position(1, 7, 3);
-        hub.elements_in(1, 4);
-        let s = hub.snapshot(50, None);
+        let s = hub.report(50, None);
         assert_eq!(s.workers[1].last_progress_ns, 42);
+        assert_eq!(s.workers[1].msgs_handled, 1);
         assert_eq!(s.workers[1].current_block, 7);
         assert_eq!(s.workers[1].path_depth, 3);
-        assert_eq!(s.workers[1].elements_in, 4);
         assert_eq!(s.max_path_depth(), 3);
-        assert_eq!(hub.latest_progress_ns(), 42);
+        assert_eq!(hub.worker_progress_ns(1), 42);
+    }
+
+    #[test]
+    fn op_cells_split_by_machine_and_sum_per_op() {
+        let hub = TelemetryHub::new(2, 2);
+        hub.add(0, Live::Op(1, OpCell::BagsStarted), 1);
+        hub.add(1, Live::Op(1, OpCell::BagsStarted), 1);
+        hub.add(1, Live::Op(0, OpCell::BagsStarted), 1);
+        hub.bump(0, WorkerCell::TemplateHits);
+        hub.bump(1, WorkerCell::TemplateMisses);
+        hub.bump(1, WorkerCell::TemplateInvalidations);
+        let s = hub.report(1, None);
+        assert_eq!(s.ops[1].bags_started, 2, "summed over machines");
+        assert_eq!(s.workers[1].bags_started, 2, "summed over ops");
+        assert_eq!(s.templates, (1, 1, 1));
     }
 }

@@ -1,6 +1,7 @@
 //! Memory/state telemetry: per-machine, per-retention-class residency
 //! accounting with retention attribution, always on like the
-//! [`crate::obs::flow::FlowRegistry`].
+//! [`crate::obs::flow::FlowRegistry`]: the [`Mem`] key family of the
+//! [`crate::obs::counters`] store.
 //!
 //! Every bag buffer the runtime retains is charged to exactly one
 //! [`MemClass`] when it grows and credited when Release-based GC (or the
@@ -20,15 +21,8 @@
 //! * [`MemClass::DedupTable`] — `(src, seq)` dedup entries above the
 //!   relay's compaction watermark.
 //!
-//! Design constraints, matching the flow registry and flight recorder:
-//! - **Zero virtual time**: no charge/credit touches [`crate::rt::Net`],
-//!   so accounting cannot move a simulated result.
-//! - **Sharded single writers**: each `(machine, class)` shard is written
-//!   only by that machine's worker thread, so relaxed atomics suffice.
-//!
-//! High-water marks are maintained inline on every charge (default runs
-//! never tick) and refreshed from the gauges on the drivers' existing
-//! sampling ticks via [`MemRegistry::sample`]. A [`MemReport`] snapshot
+//! High-water marks rise inline on every charge, so they need no
+//! sampling. A [`MemReport`] snapshot
 //! is attached to [`crate::engine::EngineResult::mem`], rendered by
 //! `mitos mem`, the residency rows in `explain`, the DOT residency heat
 //! overlay, the `mitos_mem_*` Prometheus series and the `--watch`
@@ -40,16 +34,11 @@
 //! quiescence under faults.
 
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::graph::LogicalGraph;
-use crate::obs::event::OP_NONE;
+use crate::obs::counters::{Counters, Key};
 use crate::obs::expo::{family, labels, object, Kind};
 use crate::obs::flow::fmt_bytes;
-
-/// All counter traffic is single-writer-per-shard (or commutative adds),
-/// so relaxed ordering is sufficient everywhere.
-const RELAXED: Ordering = Ordering::Relaxed;
 
 /// Approximate bytes of one `(src, seq)` dedup-table entry.
 pub const DEDUP_ENTRY_BYTES: u64 = 8;
@@ -108,66 +97,65 @@ impl MemClass {
     }
 }
 
-/// Gauges for one `(machine, class)` shard. Single writer: that machine's
-/// worker thread.
-#[derive(Debug, Default)]
-struct ClassShard {
-    live: AtomicU64,
-    elems: AtomicU64,
-    bytes: AtomicU64,
-    bytes_hwm: AtomicU64,
+/// The engine-wide memory-accounting registry: a [`Counters`] store of
+/// the [`Mem`] family, shared through [`crate::rt::EngineShared`] next to
+/// the flow registry.
+pub type MemRegistry = Counters<Mem>;
+
+/// A residency gauge within machine `m`'s row: one of a scope's gauges.
+#[derive(Clone, Copy, Debug)]
+pub struct Mem(pub Scope, pub Gauge);
+
+/// What a residency gauge covers.
+#[derive(Clone, Copy, Debug)]
+pub enum Scope {
+    /// One retention class.
+    Class(MemClass),
+    /// All classes.
+    Machine,
+    /// The bytes attributed to one operator.
+    Op(u32),
 }
 
-/// One machine's shards plus its all-class resident total.
-#[derive(Debug, Default)]
-struct MachineShard {
-    classes: [ClassShard; MEM_CLASSES],
-    resident: AtomicU64,
-    resident_hwm: AtomicU64,
+/// The gauges of a scope (a machine or operator scope keeps only bytes).
+#[derive(Clone, Copy, Debug)]
+pub enum Gauge {
+    /// Live bags (or bag-shaped buffers).
+    Live,
+    /// Resident elements.
+    Elems,
+    /// Approximate resident bytes.
+    Bytes,
+    /// High-water mark of `Bytes`.
+    Peak,
 }
 
-/// Saturating decrement: a credit without a matching charge (never
-/// expected) must not wrap the gauge.
-fn sat_sub(gauge: &AtomicU64, v: u64) {
-    let _ = gauge.fetch_update(RELAXED, RELAXED, |x| Some(x.saturating_sub(v)));
-}
+const GAUGES: usize = Gauge::Peak as usize + 1;
 
-fn raise_hwm(hwm: &AtomicU64, now: u64) {
-    if now > hwm.load(RELAXED) {
-        hwm.store(now, RELAXED);
+impl Key for Mem {
+    fn cell(self) -> usize {
+        let scope = match self.0 {
+            Scope::Class(c) => c as usize,
+            Scope::Machine => MEM_CLASSES,
+            Scope::Op(op) => MEM_CLASSES + 1 + op as usize,
+        };
+        scope * GAUGES + self.1 as usize
     }
 }
 
-/// The engine-wide memory-accounting registry, shared through
-/// [`crate::rt::EngineShared`] next to the flow registry.
-#[derive(Debug)]
-pub struct MemRegistry {
-    machines: Vec<MachineShard>,
-    /// Per-`(machine, op)` resident bytes, machine-major — operator
-    /// attribution for the DOT residency heat overlay.
-    op_bytes: Vec<AtomicU64>,
-    op_bytes_hwm: Vec<AtomicU64>,
-    ops: usize,
-}
-
 impl MemRegistry {
-    /// Allocates per-`(machine, class)` and per-`(machine, op)` shards for
-    /// a graph with `ops` operators on `machines` machines.
+    /// A registry for a graph with `ops` operators on `machines` machines.
     pub fn new(machines: u16, ops: usize) -> MemRegistry {
-        let n = machines as usize;
-        MemRegistry {
-            machines: (0..n).map(|_| MachineShard::default()).collect(),
-            op_bytes: (0..n * ops).map(|_| AtomicU64::new(0)).collect(),
-            op_bytes_hwm: (0..n * ops).map(|_| AtomicU64::new(0)).collect(),
-            ops,
-        }
+        Counters::zeroed(machines, (MEM_CLASSES + 1 + ops) * GAUGES)
     }
 
     /// Charges `bags` live bags, `elems` elements and `bytes` approximate
     /// bytes of residency to `(machine, class)`, attributing the bytes to
-    /// operator `op` for the heat overlay ([`OP_NONE`] for machine-level
-    /// state like the relay's buffers). High-water marks update inline so
-    /// peaks are captured even on runs without sampling ticks.
+    /// operator `op` for the heat overlay
+    /// ([`OP_NONE`](crate::obs::event::OP_NONE) for machine-level
+    /// state like the relay's buffers, which names no operator cell).
+    /// High-water marks rise with every charge, so peaks are exact
+    /// without any sampling.
     #[inline]
     pub fn charge(
         &self,
@@ -178,22 +166,11 @@ impl MemRegistry {
         elems: u64,
         bytes: u64,
     ) {
-        let Some(shard) = self.machines.get(machine as usize) else {
-            return;
-        };
-        let c = &shard.classes[class as usize];
-        c.live.fetch_add(bags, RELAXED);
-        c.elems.fetch_add(elems, RELAXED);
-        raise_hwm(&c.bytes_hwm, c.bytes.fetch_add(bytes, RELAXED) + bytes);
-        raise_hwm(
-            &shard.resident_hwm,
-            shard.resident.fetch_add(bytes, RELAXED) + bytes,
-        );
-        if op != OP_NONE {
-            let idx = machine as usize * self.ops + op as usize;
-            if let (Some(g), Some(h)) = (self.op_bytes.get(idx), self.op_bytes_hwm.get(idx)) {
-                raise_hwm(h, g.fetch_add(bytes, RELAXED) + bytes);
-            }
+        self.add(machine, Mem(Scope::Class(class), Gauge::Live), bags);
+        self.add(machine, Mem(Scope::Class(class), Gauge::Elems), elems);
+        for scope in [Scope::Class(class), Scope::Machine, Scope::Op(op)] {
+            let now = self.add(machine, Mem(scope, Gauge::Bytes), bytes);
+            self.raise(machine, Mem(scope, Gauge::Peak), now);
         }
     }
 
@@ -209,33 +186,10 @@ impl MemRegistry {
         elems: u64,
         bytes: u64,
     ) {
-        let Some(shard) = self.machines.get(machine as usize) else {
-            return;
-        };
-        let c = &shard.classes[class as usize];
-        sat_sub(&c.live, bags);
-        sat_sub(&c.elems, elems);
-        sat_sub(&c.bytes, bytes);
-        sat_sub(&shard.resident, bytes);
-        if op != OP_NONE {
-            if let Some(g) = self.op_bytes.get(machine as usize * self.ops + op as usize) {
-                sat_sub(g, bytes);
-            }
-        }
-    }
-
-    /// One sample from a driver's existing sampling loop: refreshes every
-    /// high-water mark from its gauge. Never touches the
-    /// [`crate::rt::Net`], so sampling stays free of virtual time.
-    pub fn sample(&self) {
-        for shard in &self.machines {
-            for c in &shard.classes {
-                raise_hwm(&c.bytes_hwm, c.bytes.load(RELAXED));
-            }
-            raise_hwm(&shard.resident_hwm, shard.resident.load(RELAXED));
-        }
-        for (g, h) in self.op_bytes.iter().zip(&self.op_bytes_hwm) {
-            raise_hwm(h, g.load(RELAXED));
+        self.sub(machine, Mem(Scope::Class(class), Gauge::Live), bags);
+        self.sub(machine, Mem(Scope::Class(class), Gauge::Elems), elems);
+        for scope in [Scope::Class(class), Scope::Machine, Scope::Op(op)] {
+            self.sub(machine, Mem(scope, Gauge::Bytes), bytes);
         }
     }
 
@@ -243,54 +197,47 @@ impl MemRegistry {
     /// across all machines and classes. `None` until any state was
     /// resident, keeping quiet watch tables byte-stable.
     pub fn watch_cell(&self) -> Option<(u64, u64)> {
-        let cur: u64 = self.machines.iter().map(|s| s.resident.load(RELAXED)).sum();
-        let peak: u64 = self
-            .machines
-            .iter()
-            .map(|s| s.resident_hwm.load(RELAXED))
-            .sum();
-        (peak > 0).then_some((cur, peak))
+        let peak = self.total(Mem(Scope::Machine, Gauge::Peak));
+        (peak > 0).then(|| (self.total(Mem(Scope::Machine, Gauge::Bytes)), peak))
     }
 
-    /// An immutable snapshot of every gauge and watermark. Relaxed reads
-    /// over single-writer shards: taken after the drivers join (or at a
-    /// stall), when the writers have quiesced.
-    pub fn snapshot(&self) -> MemReport {
-        let machines = self
-            .machines
-            .iter()
-            .map(|s| MachineMem {
-                classes: s
-                    .classes
-                    .iter()
-                    .map(|c| ClassMem {
-                        live: c.live.load(RELAXED),
-                        elems: c.elems.load(RELAXED),
-                        bytes: c.bytes.load(RELAXED),
-                        bytes_hwm: c.bytes_hwm.load(RELAXED),
-                    })
-                    .collect(),
-                resident: s.resident.load(RELAXED),
-                resident_hwm: s.resident_hwm.load(RELAXED),
+    /// The [`MemReport`] of every gauge and watermark so far: taken after
+    /// the drivers join (or at a stall), when the writers have quiesced.
+    pub fn report(&self) -> MemReport {
+        let c = self.snapshot();
+        let machines = (0..c.machines() as u16)
+            .map(|m| {
+                let class = |class| {
+                    let g = |gauge| c.get(m, Mem(Scope::Class(class), gauge));
+                    ClassMem {
+                        live: g(Gauge::Live),
+                        elems: g(Gauge::Elems),
+                        bytes: g(Gauge::Bytes),
+                        bytes_hwm: g(Gauge::Peak),
+                    }
+                };
+                MachineMem {
+                    classes: MemClass::ALL.into_iter().map(class).collect(),
+                    resident: c.get(m, Mem(Scope::Machine, Gauge::Bytes)),
+                    resident_hwm: c.get(m, Mem(Scope::Machine, Gauge::Peak)),
+                }
             })
             .collect();
-        let mut op_bytes = vec![0u64; self.ops];
-        let mut op_bytes_hwm = vec![0u64; self.ops];
-        for m in 0..self.machines.len() {
-            for op in 0..self.ops {
-                op_bytes[op] += self.op_bytes[m * self.ops + op].load(RELAXED);
-                op_bytes_hwm[op] += self.op_bytes_hwm[m * self.ops + op].load(RELAXED);
-            }
-        }
+        let ops = 0..(self.width() / GAUGES - MEM_CLASSES - 1) as u32;
+        let c = &c;
+        let per_op = |gauge| {
+            ops.clone()
+                .map(move |op| c.total(Mem(Scope::Op(op), gauge)))
+        };
         MemReport {
             machines,
-            op_bytes,
-            op_bytes_hwm,
+            op_bytes: per_op(Gauge::Bytes).collect(),
+            op_bytes_hwm: per_op(Gauge::Peak).collect(),
         }
     }
 }
 
-/// Residency totals of one `(machine, class)` shard (or an aggregation of
+/// Residency totals of one `(machine, class)` scope (or an aggregation of
 /// several).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ClassMem {
@@ -649,6 +596,7 @@ impl MemReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::event::OP_NONE;
 
     fn toy_graph() -> LogicalGraph {
         let func = mitos_ir::compile_str(
@@ -668,7 +616,7 @@ mod tests {
         reg.charge(MemClass::AwaitingInputs, 0, 1, 1, 5, 50);
         reg.charge(MemClass::HoistCache, 1, 2, 1, 3, 30);
         reg.credit(MemClass::AwaitingInputs, 0, 1, 1, 5, 50);
-        let r = reg.snapshot();
+        let r = reg.report();
         let ai = r.class_total(MemClass::AwaitingInputs);
         assert_eq!((ai.live, ai.elems, ai.bytes), (2, 10, 100));
         assert_eq!(ai.bytes_hwm, 150, "peak captured inline, before credit");
@@ -679,28 +627,30 @@ mod tests {
         assert_eq!(r.machines[1].resident, 30);
         assert!(!r.leak_free(), "awaiting-inputs still resident");
         reg.credit(MemClass::AwaitingInputs, 0, 1, 2, 10, 100);
-        let r = reg.snapshot();
+        let r = reg.report();
         assert!(r.leak_free(), "only the hoist cache remains");
         assert_eq!(r.resident_total(), 30);
     }
 
+    /// An oversized credit is a double credit: debug builds say so, release
+    /// builds clamp the gauges at zero instead of wrapping them.
     #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "exceeds the gauge"))]
     fn credits_saturate_instead_of_wrapping() {
         let reg = MemRegistry::new(1, 1);
         reg.charge(MemClass::RelayBuf, 0, OP_NONE, 1, 0, 40);
         reg.credit(MemClass::RelayBuf, 0, OP_NONE, 2, 5, 100);
-        let r = reg.snapshot();
+        let r = reg.report();
         let c = r.class_total(MemClass::RelayBuf);
         assert_eq!((c.live, c.elems, c.bytes), (0, 0, 0));
         assert_eq!(r.resident_total(), 0);
     }
 
     #[test]
-    fn sample_refreshes_watermarks_and_watch_cell() {
+    fn watch_cell_keeps_the_peak_past_a_credit() {
         let reg = MemRegistry::new(1, 2);
         assert_eq!(reg.watch_cell(), None, "nothing resident yet");
         reg.charge(MemClass::AwaitingBarrier, 0, 0, 1, 4, 64);
-        reg.sample();
         assert_eq!(reg.watch_cell(), Some((64, 64)));
         reg.credit(MemClass::AwaitingBarrier, 0, 0, 1, 4, 64);
         assert_eq!(reg.watch_cell(), Some((0, 64)), "peak survives the credit");
@@ -709,15 +659,15 @@ mod tests {
     #[test]
     fn retained_lines_stay_empty_when_drained() {
         let reg = MemRegistry::new(2, 1);
-        assert!(reg.snapshot().retained_lines().is_empty());
+        assert!(reg.report().retained_lines().is_empty());
         reg.charge(MemClass::DedupTable, 1, OP_NONE, 3, 0, 24);
         reg.charge(MemClass::HoistCache, 0, 0, 1, 2, 20);
-        let lines = reg.snapshot().retained_lines();
+        let lines = reg.report().retained_lines();
         assert_eq!(lines.len(), 2, "{lines:?}");
         assert!(lines[0].contains("hoist-cache") && lines[0].contains("(deliberate)"));
         assert!(lines[1].contains("m1 dedup-table: 3 bag(s)"), "{lines:?}");
         reg.credit(MemClass::DedupTable, 1, OP_NONE, 3, 0, 24);
-        let lines = reg.snapshot().retained_lines();
+        let lines = reg.report().retained_lines();
         assert_eq!(lines.len(), 1, "dedup drained to watermark: {lines:?}");
     }
 
@@ -726,7 +676,7 @@ mod tests {
         let graph = toy_graph();
         let reg = MemRegistry::new(2, graph.nodes.len());
         reg.charge(MemClass::AwaitingInputs, 0, 0, 1, 40, 400);
-        let r = reg.snapshot();
+        let r = reg.report();
         let text = r.render(&graph);
         assert!(text.contains("state residency by class"), "{text}");
         assert!(text.contains("awaiting-inputs"), "{text}");
@@ -757,12 +707,12 @@ mod tests {
         // A quiet report contributes nothing to explain.
         assert_eq!(
             MemRegistry::new(2, graph.nodes.len())
-                .snapshot()
+                .report()
                 .explain_rows(),
             ""
         );
         reg.credit(MemClass::AwaitingInputs, 0, 0, 1, 40, 400);
-        let text = reg.snapshot().render(&graph);
+        let text = reg.report().render(&graph);
         assert!(text.contains("leak-free"), "{text}");
     }
 }

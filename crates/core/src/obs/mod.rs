@@ -9,6 +9,15 @@
 //! join time into one [`ObsReport`] attached to
 //! [`crate::engine::EngineResult`].
 //!
+//! Alongside that event layer, always-on counters run at every level,
+//! [`ObsLevel::Off`] included: one store type, [`counters::Counters`],
+//! one row of single-writer cells per machine, addressed by typed keys.
+//! It backs three key families: live progress
+//! ([`live::TelemetryHub`]), data-plane flow ([`flow::FlowRegistry`]) and
+//! memory residency ([`mem::MemRegistry`]). The run's totals
+//! (emitted elements, hoist hits, template counters, decisions, data
+//! messages) are read from it at join, so each fact is counted once.
+//!
 //! Timestamps come from [`crate::rt::Net::now_ns`]: virtual time under the
 //! simulator, monotonic wall-clock under the threaded driver. Recording
 //! charges **zero virtual time**, so tracing never perturbs simulated
@@ -25,6 +34,7 @@
 //! formats either by hand.
 
 pub mod chrome;
+pub mod counters;
 pub mod critical;
 pub mod event;
 pub mod explain;
@@ -40,6 +50,7 @@ pub mod span;
 pub mod watchdog;
 
 pub use chrome::chrome_trace;
+pub use counters::{Counters, Counts, Key};
 pub use critical::{critical_path, BagNode, CriticalPath};
 pub use event::{Event, EventKind, InputRule, OP_NONE};
 pub use explain::{explain_parts, explain_report};

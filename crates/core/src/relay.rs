@@ -474,7 +474,7 @@ mod tests {
             .all(|(m, s)| *m == 0 && matches!(s, Msg::Ack { peer: 1, .. })));
         assert_eq!(relay.delivered_below[0], 3, "watermark compacts");
         assert!(relay.seen[0].is_empty());
-        let table = mreg.snapshot().class_total(MemClass::DedupTable);
+        let table = mreg.report().class_total(MemClass::DedupTable);
         assert_eq!(
             (table.live, table.bytes),
             (0, 0),
@@ -519,26 +519,26 @@ mod tests {
             batch: mitos_lang::Batch::new(),
         };
         relay.send_via(&mut net, 1, data, 40, &reg, &mreg);
-        let buf = mreg.snapshot().class_total(MemClass::RelayBuf);
+        let buf = mreg.report().class_total(MemClass::RelayBuf);
         assert_eq!(buf.live, 1, "one unacked envelope resident");
         assert_eq!(buf.bytes, 40 + ENVELOPE_BYTES);
         relay.on_tick(&mut net, 1, "drop 1.00", &reg).unwrap();
         relay.on_ack(1, 0, &reg, &mreg);
-        let report = reg.snapshot();
+        let report = reg.report();
         let edge = &report.edges[2];
         assert_eq!(edge.retrans_msgs(), 1);
         assert_eq!(edge.retrans_bytes(), 40 + 24, "resend pays envelope too");
         assert_eq!(edge.inflight_hwm(), 1, "window peaked at one unacked msg");
-        let report2 = reg.snapshot();
+        let report2 = reg.report();
         assert_eq!(
             report2.edges[2].retrans_bytes(),
             64,
             "ack retired the window without disturbing retransmit totals"
         );
-        let buf = mreg.snapshot().class_total(MemClass::RelayBuf);
+        let buf = mreg.report().class_total(MemClass::RelayBuf);
         assert_eq!((buf.live, buf.bytes), (0, 0), "ack drained the buffer");
         assert_eq!(
-            mreg.snapshot().class_total(MemClass::RelayBuf).bytes_hwm,
+            mreg.report().class_total(MemClass::RelayBuf).bytes_hwm,
             40 + ENVELOPE_BYTES,
             "peak survives the drain"
         );
@@ -613,7 +613,7 @@ mod tests {
             assert_eq!(relay.delivered_below[0], base + 16);
         }
         assert!(max_table > 1, "shuffle produced no reordering to test");
-        let table = mreg.snapshot().class_total(MemClass::DedupTable);
+        let table = mreg.report().class_total(MemClass::DedupTable);
         assert_eq!((table.live, table.bytes), (0, 0), "drained to watermark");
         assert!(
             table.bytes_hwm >= DEDUP_ENTRY_BYTES,

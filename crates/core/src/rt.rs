@@ -213,23 +213,19 @@ pub struct EngineShared {
     pub fs: InMemoryFs,
     /// Cluster size.
     pub machines: u16,
-    /// Always-on live telemetry counters (relaxed atomics), shared by all
-    /// workers and sampled by the drivers into
-    /// [`crate::obs::live::Snapshot`]s.
+    /// Always-on live counters (a [`crate::obs::counters`] store), read
+    /// mid-run into [`crate::obs::live::Snapshot`]s and at join into the
+    /// run's totals.
     pub telemetry: crate::obs::live::TelemetryHub,
     /// Always-on per-worker flight recorder (fixed-size lock-free rings,
     /// active even at [`ObsLevel::Off`]); its last events are dumped into
     /// stall reports and fault post-mortems.
     pub flight: crate::obs::recorder::FlightRecorder,
-    /// Always-on per-edge data-plane flow accounting (relaxed-atomic
-    /// sharded counters for elements/messages/bytes/retransmissions plus
-    /// queue-depth and backpressure watermarks); snapshotted into
-    /// [`crate::obs::flow::FlowReport`] at join.
+    /// Always-on per-edge data-plane counters (a counter store), read at
+    /// join into [`crate::obs::flow::FlowReport`].
     pub flow: crate::obs::flow::FlowRegistry,
-    /// Always-on per-machine, per-retention-class memory/state residency
-    /// accounting (relaxed-atomic sharded gauges charged at bag
-    /// append/compute and credited at Release/GC, with high-water marks);
-    /// snapshotted into [`crate::obs::mem::MemReport`] at join.
+    /// Always-on residency gauges per machine and retention class (a
+    /// counter store), read at join into [`crate::obs::mem::MemReport`].
     pub mem: crate::obs::mem::MemRegistry,
 }
 

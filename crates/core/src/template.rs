@@ -251,21 +251,15 @@ impl SendHint {
     }
 }
 
-/// Per-host cache of recorded traversals, with deterministic hit/miss/
-/// invalidation counters (bag starts follow path order on both drivers,
-/// so the counters are bit-identical across runs and drivers).
+/// Per-host cache of recorded traversals. Its hits, misses and
+/// invalidations are counted by the host in the live telemetry hub
+/// ([`crate::obs::live::WorkerCell`]); bag starts follow path order on
+/// both drivers, so those counts are bit-identical across runs and
+/// drivers.
 #[derive(Debug, Default)]
 pub struct TemplateCache {
     templates: Vec<Template>,
     next_id: u64,
-    /// Bag starts whose selection decisions were replayed from a template.
-    pub hits: u64,
-    /// Bag starts with no matching template (the traversal is recorded,
-    /// when replayable).
-    pub misses: u64,
-    /// Replay fallbacks: send-hint divergences and hoist-verdict
-    /// disagreements (the live result always wins).
-    pub invalidations: u64,
 }
 
 impl TemplateCache {
@@ -282,26 +276,17 @@ impl TemplateCache {
     }
 
     /// Looks up the template for a bag starting at prefix length `len`,
-    /// counting a hit (and moving the template to the front) or a miss.
+    /// moving a hit to the front.
     pub fn lookup(&mut self, path_blocks: &[BlockId], len: u32) -> Option<&Template> {
         let len = len as usize;
         let suffix = Self::suffix(path_blocks, len);
-        let found = self
+        let i = self
             .templates
             .iter()
-            .position(|t| (!t.full_path || t.key.len() == len) && *t.key == *suffix);
-        match found {
-            Some(i) => {
-                self.hits += 1;
-                let t = self.templates.remove(i);
-                self.templates.insert(0, t);
-                Some(&self.templates[0])
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+            .position(|t| (!t.full_path || t.key.len() == len) && *t.key == *suffix)?;
+        let t = self.templates.remove(i);
+        self.templates.insert(0, t);
+        Some(&self.templates[0])
     }
 
     /// Records a slow-path traversal, returning the new template's id —
@@ -359,28 +344,16 @@ impl TemplateCache {
     }
 
     /// Reconciles the recorded hoist verdict with the live recomputation
-    /// on a replayed traversal: a disagreement counts as an invalidation
+    /// on a replayed traversal: a disagreement is an invalidation
     /// (returned as `true`) and the stored bit follows the live result.
     pub fn note_hoist(&mut self, id: u64, live: bool) -> bool {
         if let Some(t) = self.templates.iter_mut().find(|t| t.id == id) {
             if t.selection.hoist_hit != live {
-                self.invalidations += 1;
                 t.selection.hoist_hit = live;
                 return true;
             }
         }
         false
-    }
-
-    /// The fraction of bag starts served by replay (`hits / lookups`), or
-    /// 0 when no lookup happened.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
     }
 }
 
@@ -434,7 +407,6 @@ mod tests {
         let mut changed = loopy_path(49);
         changed[45] = 9;
         assert!(c.lookup(&changed, 49).is_none(), "changed suffix must miss");
-        assert_eq!((c.hits, c.misses), (1, 2));
     }
 
     #[test]
@@ -601,19 +573,5 @@ mod tests {
             h2.advance(&[0, 1, 2, 3, 2], true, 4),
             HintStep::Mismatch { cursor: 5 }
         );
-    }
-
-    #[test]
-    fn hit_rate_is_hits_over_lookups() {
-        let mut c = TemplateCache::new();
-        assert_eq!(c.hit_rate(), 0.0);
-        let p = loopy_path(40);
-        c.lookup(&p, 40); // miss
-        c.record(&p, 40, sel(&[1]), 0).unwrap();
-        for n in [43, 46, 49] {
-            let q = loopy_path(n);
-            assert!(c.lookup(&q, n as u32).is_some());
-        }
-        assert!((c.hit_rate() - 0.75).abs() < 1e-12);
     }
 }

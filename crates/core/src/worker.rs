@@ -9,6 +9,7 @@
 
 use crate::graph::OpId;
 use crate::host::{Host, HostOut};
+use crate::obs::live::WorkerCell;
 use crate::obs::{EventKind, ObsBuf, OP_NONE};
 use crate::path::ExecutionPath;
 use crate::relay::{Relay, ReliableNet};
@@ -40,11 +41,6 @@ pub struct Worker {
     barrier: Option<Barrier>,
     /// First fatal error; once set, the worker discards further messages.
     pub error: Option<RuntimeError>,
-    /// Count of control-flow decisions this worker broadcast.
-    pub decisions_broadcast: u64,
-    /// Count of data-plane messages ([`Msg::Data`] / [`Msg::BagDone`])
-    /// this worker received — bag traffic, excluding the control plane.
-    pub data_messages: u64,
     /// Observability buffer (events + metrics); drained at join via
     /// [`Worker::take_obs`].
     obs: ObsBuf,
@@ -97,22 +93,9 @@ impl Worker {
             host_of_op,
             barrier,
             error: None,
-            decisions_broadcast: 0,
-            data_messages: 0,
             obs,
             relay,
         }
-    }
-
-    /// Envelopes this worker retransmitted (fault-injection runs only).
-    pub fn retransmits(&self) -> u64 {
-        self.relay.retransmits
-    }
-
-    /// Duplicate deliveries this worker discarded (fault-injection runs
-    /// only).
-    pub fn dups_dropped(&self) -> u64 {
-        self.relay.dups_dropped
     }
 
     /// Drains this worker's observability buffer (called once, at join).
@@ -129,39 +112,6 @@ impl Worker {
     /// Whether every host on this machine is idle.
     pub fn idle(&self) -> bool {
         self.path.exited() && self.hosts.iter().all(Host::idle)
-    }
-
-    /// Aggregated hoisting hits across local hosts.
-    pub fn hoist_hits(&self) -> u64 {
-        self.hosts.iter().map(|h| h.hoist_hits).sum()
-    }
-
-    /// Aggregated emitted elements across local hosts.
-    pub fn emitted_elements(&self) -> u64 {
-        self.hosts.iter().map(|h| h.emitted_elements).sum()
-    }
-
-    /// Aggregated execution-template replay hits across local hosts.
-    pub fn template_hits(&self) -> u64 {
-        self.hosts.iter().map(Host::template_hits).sum()
-    }
-
-    /// Aggregated execution-template misses across local hosts.
-    pub fn template_misses(&self) -> u64 {
-        self.hosts.iter().map(Host::template_misses).sum()
-    }
-
-    /// Aggregated execution-template invalidations across local hosts.
-    pub fn template_invalidations(&self) -> u64 {
-        self.hosts.iter().map(Host::template_invalidations).sum()
-    }
-
-    /// Per-local-host statistics: `(op, emitted elements, hoisting hits)`.
-    pub fn host_stats(&self) -> Vec<(crate::graph::OpId, u64, u64)> {
-        self.hosts
-            .iter()
-            .map(|h| (h.op(), h.emitted_elements, h.hoist_hits))
-            .collect()
     }
 
     /// Handles one delivered message.
@@ -189,23 +139,16 @@ impl Worker {
     /// Counts and dispatches one logical message (post-dedup when the
     /// recovery protocol is active).
     fn ingest(&mut self, msg: Msg, net: &mut dyn Net) -> Result<(), RuntimeError> {
-        // Receive-side flow accounting shares the post-dedup position with
-        // `data_messages`, so the per-edge message totals reconcile with it
-        // exactly — retransmissions and duplicates included.
+        // Receive-side flow accounting sits after the dedup filter: its
+        // message total is the run's `data_messages`, retransmissions and
+        // duplicates included.
         match &msg {
             Msg::Data { edge, batch, .. } => {
                 self.shared
-                    .telemetry
-                    .elements_in(self.machine, batch.len() as u64);
-                self.shared
                     .flow
                     .msg_in(*edge, self.machine, batch.len() as u64);
-                self.data_messages += 1;
             }
-            Msg::BagDone { edge, .. } => {
-                self.shared.flow.msg_in(*edge, self.machine, 0);
-                self.data_messages += 1;
-            }
+            Msg::BagDone { edge, .. } => self.shared.flow.msg_in(*edge, self.machine, 0),
             _ => {}
         }
         self.dispatch(msg, net)
@@ -235,7 +178,9 @@ impl Worker {
                 } else {
                     self.obs
                         .record(net, OP_NONE, EventKind::DuplicateDropped { peer: src, seq });
-                    self.shared.telemetry.dup_dropped(self.machine);
+                    self.shared
+                        .telemetry
+                        .bump(self.machine, WorkerCell::DupsDropped);
                     Ok(())
                 }
             }
@@ -258,7 +203,9 @@ impl Worker {
                                     step,
                                 },
                             );
-                            self.shared.telemetry.retransmit(self.machine);
+                            self.shared
+                                .telemetry
+                                .bump(self.machine, WorkerCell::Retransmits);
                         }
                         Ok(())
                     }
@@ -408,7 +355,9 @@ impl Worker {
                 // Broadcast to every other control-flow manager... The
                 // Decide span id is deterministic (step + machine only),
                 // so every receiver can recompute and verify it.
-                self.decisions_broadcast += 1;
+                self.shared
+                    .telemetry
+                    .bump(self.machine, WorkerCell::Decisions);
                 let parent = crate::obs::span::span_id(
                     index,
                     self.machine,

@@ -114,6 +114,18 @@ if [ -n "$shared_literals" ]; then
     exit 1
 fi
 
+# One counter store: the always-on telemetry counters are cells of
+# crates/core/src/obs/counters.rs, addressed by typed keys; no other module
+# under obs/ keeps atomics of its own (the flight recorder's rings are
+# exempt).
+stray_atomics="$(grep -rnE --include='*.rs' 'Atomic(U64|U32|Usize)' crates/core/src/obs |
+    grep -vE '^crates/core/src/obs/(counters|recorder)\.rs:' || true)"
+if [ -n "$stray_atomics" ]; then
+    echo "check.sh: atomics outside obs/counters.rs and obs/recorder.rs:" >&2
+    echo "$stray_atomics" >&2
+    exit 1
+fi
+
 # The profiler must run end-to-end on the nested-loops example and print
 # its per-iteration table and critical path.
 profile_out="$(./target/release/mitos profile examples/nested_loops.mt --machines 3)"

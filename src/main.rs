@@ -572,10 +572,7 @@ fn main() -> ExitCode {
                         eprintln!(
                             "[progress] done: {} snapshots, {} elements emitted",
                             outcome.snapshots.len(),
-                            outcome
-                                .snapshots
-                                .last()
-                                .map_or(0, |s| s.total_elements_out()),
+                            outcome.op_stats.iter().map(|s| s.emitted).sum::<u64>(),
                         );
                     }
                     // Side outputs come first, so every subcommand writes

@@ -173,7 +173,37 @@ fn progress_prints_status_lines() {
     assert!(output.status.success(), "{output:?}");
     let err = String::from_utf8_lossy(&output.stderr);
     assert!(err.contains("[progress"), "{err}");
-    assert!(err.contains("done:"), "{err}");
+    // The done line reports the whole run's emitted elements, which the
+    // per-operator table of `explain` sums to as well.
+    let done: u64 = err
+        .lines()
+        .find_map(|l| l.strip_prefix("[progress] done: "))
+        .and_then(|l| l.split(", ").nth(1))
+        .and_then(|l| l.strip_suffix(" elements emitted"))
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no done line: {err}"));
+    let explain = mitos()
+        .args([
+            "explain",
+            program.to_str().unwrap(),
+            "--input",
+            &format!("visits={}", data.display()),
+            "--json",
+        ])
+        .output()
+        .unwrap();
+    assert!(explain.status.success(), "{explain:?}");
+    let json = String::from_utf8_lossy(&explain.stdout);
+    let emitted: u64 = json
+        .split("\"emitted\":")
+        .skip(1)
+        .map(|rest| {
+            let end = rest.find(|c: char| !c.is_ascii_digit()).unwrap();
+            rest[..end].parse::<u64>().unwrap()
+        })
+        .sum();
+    assert!(emitted > 0, "{json}");
+    assert_eq!(done, emitted, "done line vs explain: {err}");
 }
 
 #[test]
