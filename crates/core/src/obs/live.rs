@@ -122,9 +122,9 @@ impl TelemetryHub {
     /// and the resulting execution-path depth.
     #[inline]
     pub fn position(&self, machine: u16, block: u32, depth: u32) {
-        let at = Live::Worker;
-        self.set(machine, at(WorkerCell::CurrentBlock), block.into());
-        self.set(machine, at(WorkerCell::PathDepth), depth.into());
+        let block = u64::from(block);
+        self.set(machine, Live::Worker(WorkerCell::CurrentBlock), block);
+        self.set(machine, Live::Worker(WorkerCell::PathDepth), depth.into());
     }
 
     /// One worker's last-progress timestamp — the quantity the stall

@@ -22,8 +22,8 @@
 //!   relay's compaction watermark.
 //!
 //! High-water marks rise inline on every charge, so they need no
-//! sampling. A [`MemReport`] snapshot
-//! is attached to [`crate::engine::EngineResult::mem`], rendered by
+//! sampling. A [`MemReport`] snapshot is attached to
+//! [`crate::engine::EngineResult::mem`], rendered by
 //! `mitos mem`, the residency rows in `explain`, the DOT residency heat
 //! overlay, the `mitos_mem_*` Prometheus series and the `--watch`
 //! peak-resident line; retained-state attribution lines land in
