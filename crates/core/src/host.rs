@@ -1602,12 +1602,11 @@ impl Host {
                         ),
                         Some(HintStep::Pending { cursor }) => (SendDecision::Undecided, cursor),
                         Some(HintStep::Mismatch { cursor: from }) => {
+                            // A hint only exists on a template replay.
                             *hint = None;
-                            if self.templates.is_some() {
-                                self.shared
-                                    .telemetry
-                                    .bump(self.machine, WorkerCell::TemplateInvalidations);
-                            }
+                            self.shared
+                                .telemetry
+                                .bump(self.machine, WorkerCell::TemplateInvalidations);
                             self.shared.rules.decide_send(edge, path, bag_len, from)
                         }
                         None => {
