@@ -217,6 +217,8 @@ impl Job {
         let mut s = shared.telemetry.report(t_ns, self.snapshots.last());
         for w in &mut s.workers {
             w.elements_in = shared.flow.elements_in(w.machine);
+            w.last_progress_ns = shared.flight.last_ns(w.machine);
+            w.msgs_handled = shared.flight.handled(w.machine);
         }
         s.hot_edge = shared.flow.hottest();
         s.mem = shared.mem.watch_cell();

@@ -51,10 +51,6 @@ pub enum WorkerCell {
     CurrentBlock,
     /// The local execution path's depth (gauge).
     PathDepth,
-    /// When the worker last handled a message (gauge).
-    LastProgressNs,
-    /// Messages handled.
-    MsgsHandled,
     /// Relay envelopes retransmitted.
     Retransmits,
     /// Duplicate deliveries discarded.
@@ -110,14 +106,6 @@ impl TelemetryHub {
         self.add(machine, Live::Worker(cell), 1);
     }
 
-    /// Records a message handled by `machine`'s worker at time `now_ns`
-    /// (the last-progress timestamp the stall watchdog watches).
-    #[inline]
-    pub fn touch(&self, machine: u16, now_ns: u64) {
-        self.set(machine, Live::Worker(WorkerCell::LastProgressNs), now_ns);
-        self.bump(machine, WorkerCell::MsgsHandled);
-    }
-
     /// Records the control-flow manager's position: the block just appended
     /// and the resulting execution-path depth.
     #[inline]
@@ -127,16 +115,11 @@ impl TelemetryHub {
         self.set(machine, Live::Worker(WorkerCell::PathDepth), depth.into());
     }
 
-    /// One worker's last-progress timestamp — the quantity the stall
-    /// watchdog compares against its deadline.
-    pub fn worker_progress_ns(&self, machine: u16) -> u64 {
-        self.get(machine, Live::Worker(WorkerCell::LastProgressNs))
-    }
-
     /// Reads the hub into a [`Snapshot`] at time `t_ns`, computing deltas
-    /// against `prev` (the previous snapshot, if any). The flow- and
-    /// memory-derived fields (`elements_in`, `hot_edge`, `mem`) are left
-    /// for the caller to fill in.
+    /// against `prev` (the previous snapshot, if any). The fields kept by
+    /// the flow registry, the memory registry and the flight recorder
+    /// (`elements_in`, `hot_edge`, `mem`, `last_progress_ns`,
+    /// `msgs_handled`) are left for the caller to fill in.
     pub fn report(&self, t_ns: u64, prev: Option<&Snapshot>) -> Snapshot {
         let c = self.snapshot();
         let ops = 0..self.ops();
@@ -152,8 +135,8 @@ impl TelemetryHub {
                     bags_finished: per_op(OpCell::BagsFinished),
                     current_block: w(WorkerCell::CurrentBlock) as u32,
                     path_depth: w(WorkerCell::PathDepth) as u32,
-                    last_progress_ns: w(WorkerCell::LastProgressNs),
-                    msgs_handled: w(WorkerCell::MsgsHandled),
+                    last_progress_ns: 0,
+                    msgs_handled: 0,
                     retransmits: w(WorkerCell::Retransmits),
                     dups_dropped: w(WorkerCell::DupsDropped),
                 }
@@ -213,9 +196,12 @@ pub struct WorkerSnapshot {
     /// The local execution path's depth (blocks appended so far).
     pub path_depth: u32,
     /// Timestamp of the last message this worker handled (virtual ns under
-    /// the simulator, wall-clock ns since engine start under threads).
+    /// the simulator, wall-clock ns since engine start under threads) —
+    /// filled in by the drivers from the flight recorder
+    /// ([`crate::obs::recorder::FlightRecorder::last_ns`]).
     pub last_progress_ns: u64,
-    /// Messages handled by this worker.
+    /// Messages handled by this worker — filled in by the drivers from the
+    /// flight recorder ([`crate::obs::recorder::FlightRecorder::handled`]).
     pub msgs_handled: u64,
     /// Relay envelopes retransmitted by this worker (zero unless fault
     /// injection is active).
@@ -438,17 +424,13 @@ mod tests {
     }
 
     #[test]
-    fn touch_and_position_feed_worker_rows() {
+    fn position_feeds_worker_rows() {
         let hub = TelemetryHub::new(2, 1);
-        hub.touch(1, 42);
         hub.position(1, 7, 3);
         let s = hub.report(50, None);
-        assert_eq!(s.workers[1].last_progress_ns, 42);
-        assert_eq!(s.workers[1].msgs_handled, 1);
         assert_eq!(s.workers[1].current_block, 7);
         assert_eq!(s.workers[1].path_depth, 3);
         assert_eq!(s.max_path_depth(), 3);
-        assert_eq!(hub.worker_progress_ns(1), 42);
     }
 
     #[test]

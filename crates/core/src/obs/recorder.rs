@@ -8,11 +8,18 @@
 //!   grown.
 //! - **Zero virtual time**: recording never touches [`crate::rt::Net`],
 //!   so the simulator's clock is unaffected *by construction*.
-//! - **Lock-free**: each lane has a single writer (its worker), so a
-//!   relaxed `fetch_add` cursor plus relaxed slot stores suffice; the
-//!   dumper may observe a torn `(t_ns, word)` pair for the slot being
-//!   overwritten at that instant, which is acceptable for a post-mortem
-//!   aid and documented in the dump header.
+//! - **Lock-free**: each lane has a single writer (its worker), which
+//!   writes the slot with relaxed stores and only then publishes the
+//!   advanced cursor with a release store. A reader that acquires cursor
+//!   `n` sees slot `n - 1` written, never the previous lap's timestamp
+//!   (64 messages older, which the stall watchdog would take for a
+//!   stall). The dumper may observe a torn `(t_ns, word)` pair for the
+//!   slot being overwritten at that instant, acceptable for a post-mortem
+//!   aid.
+//!
+//! The recorder is the one record of each handled message: the cursor is
+//! the worker's message count and the newest slot's time its last
+//! progress, which live snapshots and the stall watchdog read.
 //!
 //! Dumps are attached to [`crate::obs::watchdog::StallReport`] and the
 //! fault post-mortems, so a stalled or crashed run always shows the last
@@ -80,18 +87,36 @@ impl FlightRecorder {
     /// Records one handled message into `machine`'s lane. Never reads the
     /// clock itself — `now_ns` is the caller's already-read timestamp —
     /// and never touches the [`crate::rt::Net`], so recording charges
-    /// zero virtual time. Single branch + two relaxed stores.
+    /// zero virtual time. Single writer: the slot first, then the cursor.
     #[inline]
     pub fn record(&self, machine: u16, now_ns: u64, msg: &Msg) {
         let Some(lane) = self.lanes.get(machine as usize) else {
             return;
         };
         let (code, detail) = encode(msg);
-        let i = lane.cursor.fetch_add(1, Ordering::Relaxed) as usize % FLIGHT_SLOTS;
-        lane.slots[i].t_ns.store(now_ns, Ordering::Relaxed);
-        lane.slots[i]
-            .word
+        let n = lane.cursor.load(Ordering::Relaxed);
+        let slot = &lane.slots[n as usize % FLIGHT_SLOTS];
+        slot.t_ns.store(now_ns, Ordering::Relaxed);
+        slot.word
             .store((code << 56) | (detail & ((1 << 56) - 1)), Ordering::Relaxed);
+        lane.cursor.store(n + 1, Ordering::Release);
+    }
+
+    /// Messages `machine`'s worker has handled so far.
+    pub fn handled(&self, machine: u16) -> u64 {
+        self.lanes
+            .get(machine as usize)
+            .map_or(0, |lane| lane.cursor.load(Ordering::Acquire))
+    }
+
+    /// When `machine`'s worker last handled a message (0 before its first).
+    pub fn last_ns(&self, machine: u16) -> u64 {
+        self.lanes.get(machine as usize).map_or(0, |lane| {
+            // Before the first message the slot "before" slot 0 is unwritten.
+            let n = lane.cursor.load(Ordering::Acquire) as usize;
+            let slot = &lane.slots[(n + FLIGHT_SLOTS - 1) % FLIGHT_SLOTS];
+            slot.t_ns.load(Ordering::Relaxed)
+        })
     }
 
     /// Decodes every lane's ring, oldest event first, one line per
@@ -103,7 +128,7 @@ impl FlightRecorder {
             .iter()
             .enumerate()
             .map(|(m, lane)| {
-                let written = lane.cursor.load(Ordering::Relaxed);
+                let written = lane.cursor.load(Ordering::Acquire);
                 let n = (written as usize).min(FLIGHT_SLOTS);
                 let start = written as usize - n;
                 let entries: Vec<String> = (start..written as usize)
@@ -193,5 +218,18 @@ mod tests {
         rec.record(9, 1, &Msg::RetryTick { peer: 0 });
         let lines = rec.dump_lines();
         assert_eq!(lines.len(), 1);
+        assert_eq!((rec.handled(9), rec.last_ns(9)), (0, 0));
+    }
+
+    #[test]
+    fn cursor_counts_messages_and_newest_slot_is_last_progress() {
+        let rec = FlightRecorder::new(2);
+        assert_eq!((rec.handled(1), rec.last_ns(1)), (0, 0));
+        // Past a full lap the newest slot still holds the newest time.
+        for t in 1..=FLIGHT_SLOTS as u64 * 2 + 1 {
+            rec.record(1, t, &Msg::Start);
+            assert_eq!((rec.handled(1), rec.last_ns(1)), (t, t));
+        }
+        assert_eq!((rec.handled(0), rec.last_ns(0)), (0, 0));
     }
 }

@@ -321,7 +321,7 @@ pub enum Msg {
 }
 
 /// Transport used by workers; implemented over the simulator and over
-/// crossbeam channels.
+/// std channels.
 pub trait Net {
     /// Sends a message to the worker on `machine`; `bytes` is the payload
     /// size for bandwidth accounting.

@@ -2,7 +2,7 @@
 //!
 //! The bag operator hosts and control-flow managers are message-driven
 //! state machines (see [`crate::worker`]); this driver runs one worker per
-//! OS thread with crossbeam channels as the transport — the same code that
+//! OS thread with std channels as the transport — the same code that
 //! the discrete-event simulator drives, now under genuine concurrency and
 //! OS scheduling nondeterminism. Integration tests assert that results
 //! equal the simulator's and the reference interpreter's.
@@ -31,12 +31,12 @@
 use crate::engine::{DriverEnd, EngineResult, Job};
 use crate::rt::{EngineConfig, Msg, Net, RuntimeError, Verdict};
 use crate::worker::Worker;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use mitos_fs::InMemoryFs;
 use mitos_ir::nir::FuncIr;
 use mitos_sim::SimReport;
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Sender};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 enum TMsg {
@@ -48,6 +48,33 @@ enum TMsg {
 /// entry was counted in `inflight` when registered; the monitor loop
 /// moves due entries into the destination channel without re-counting.
 type TimerHeap = Mutex<Vec<(u64, u16, Msg)>>;
+
+/// Locks the timer heap, recovering a poisoned guard: a panic resurfaces
+/// at `join`, and every critical section leaves the heap consistent.
+fn lock(timers: &TimerHeap) -> MutexGuard<'_, Vec<(u64, u16, Msg)>> {
+    timers.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// One channel per machine (each receiver lives in its worker thread),
+/// and each inbox's queue depth for the monitor's sample, since std's
+/// `Receiver` has no `len()`: up before every push, down on every take.
+struct Inboxes {
+    senders: Vec<Sender<TMsg>>,
+    depths: Vec<AtomicUsize>,
+}
+
+impl Inboxes {
+    /// Pushes a message already counted in `inflight`. A send can only
+    /// fail after `Stop`, when delivery no longer matters.
+    fn push(&self, machine: u16, msg: Msg, inflight: &AtomicI64) {
+        let depth = &self.depths[machine as usize];
+        depth.fetch_add(1, Ordering::Relaxed);
+        if self.senders[machine as usize].send(TMsg::M(msg)).is_err() {
+            depth.fetch_sub(1, Ordering::Relaxed);
+            inflight.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+}
 
 /// Shared fault-injection state for a threaded run (present only when the
 /// plan has network faults). Counters mirror the simulator's
@@ -65,26 +92,12 @@ struct ThreadFaults {
 struct ThreadNet<'a> {
     /// The sending machine (fault verdicts are per directed link).
     machine: u16,
-    senders: &'a [Sender<TMsg>],
+    inboxes: &'a Inboxes,
     inflight: &'a AtomicI64,
     timers: &'a TimerHeap,
     faults: Option<&'a ThreadFaults>,
-    sent: u64,
     /// Engine start; trace timestamps are monotonic ns since this point.
     epoch: Instant,
-}
-
-impl ThreadNet<'_> {
-    /// Delivers directly into the destination channel (past the fault
-    /// layer).
-    fn push_raw(&mut self, machine: u16, msg: Msg) {
-        self.inflight.fetch_add(1, Ordering::SeqCst);
-        self.sent += 1;
-        // A send can only fail after Stop, when delivery no longer matters.
-        if self.senders[machine as usize].send(TMsg::M(msg)).is_err() {
-            self.inflight.fetch_sub(1, Ordering::SeqCst);
-        }
-    }
 }
 
 impl Net for ThreadNet<'_> {
@@ -92,7 +105,7 @@ impl Net for ThreadNet<'_> {
         if machine != self.machine {
             if let Some(f) = self.faults {
                 let now = self.epoch.elapsed().as_nanos() as u64;
-                let idx = self.machine as usize * self.senders.len() + machine as usize;
+                let idx = self.machine as usize * self.inboxes.senders.len() + machine as usize;
                 let k = f.link_seq[idx].fetch_add(1, Ordering::Relaxed);
                 if f.plan.partitioned(self.machine, machine, now) {
                     f.dropped.fetch_add(1, Ordering::Relaxed);
@@ -116,7 +129,8 @@ impl Net for ThreadNet<'_> {
                 }
             }
         }
-        self.push_raw(machine, msg);
+        self.inflight.fetch_add(1, Ordering::SeqCst);
+        self.inboxes.push(machine, msg, self.inflight);
     }
 
     fn charge(&mut self, _ns: u64) {
@@ -135,7 +149,7 @@ impl Net for ThreadNet<'_> {
         // detection waits for pending timers.
         self.inflight.fetch_add(1, Ordering::SeqCst);
         let due = self.epoch.elapsed().as_nanos() as u64 + delay_ns;
-        self.timers.lock().push((due, machine, msg));
+        lock(self.timers).push((due, machine, msg));
     }
 
     fn now_ns(&mut self) -> u64 {
@@ -178,9 +192,11 @@ pub fn run_threads_live(
     let (mut job, workers) = Job::new(func, fs, engine, machines)?;
     let config = &job.shared().config;
     let epoch = Instant::now();
-    let channels: Vec<(Sender<TMsg>, Receiver<TMsg>)> =
-        (0..machines).map(|_| unbounded()).collect();
-    let senders: Vec<Sender<TMsg>> = channels.iter().map(|(s, _)| s.clone()).collect();
+    let (senders, receivers): (Vec<_>, Vec<_>) = (0..machines).map(|_| channel()).unzip();
+    let inboxes = Inboxes {
+        senders,
+        depths: (0..machines).map(|_| AtomicUsize::new(0)).collect(),
+    };
     let inflight = AtomicI64::new(0);
     let timers: TimerHeap = Mutex::new(Vec::new());
     let faults: Option<ThreadFaults> = config.faults.net_faults_active().then(|| ThreadFaults {
@@ -192,15 +208,15 @@ pub fn run_threads_live(
         duplicated: AtomicU64::new(0),
         reordered: AtomicU64::new(0),
     });
+    // Per worker, `Worker::idle`: the program exited and every host is idle.
     let idle_flags: Vec<AtomicBool> = (0..machines).map(|_| AtomicBool::new(false)).collect();
-    let exited_flags: Vec<AtomicBool> = (0..machines).map(|_| AtomicBool::new(false)).collect();
     // Set by the first worker that fails; the monitor then drains.
     let failed = AtomicBool::new(false);
 
     // Bootstrap.
-    for s in &senders {
+    for m in 0..machines {
         inflight.fetch_add(1, Ordering::SeqCst);
-        s.send(TMsg::M(Msg::Start)).expect("fresh channel");
+        inboxes.push(m, Msg::Start, &inflight);
     }
 
     let interval = config.sample_interval_ns;
@@ -217,39 +233,29 @@ pub fn run_threads_live(
     let workers: Vec<Worker> = std::thread::scope(|scope| {
         let handles: Vec<_> = workers
             .into_iter()
-            .zip(&channels)
+            .zip(receivers)
             .enumerate()
-            .map(|(m, (mut worker, (_, receiver)))| {
-                let senders = &senders;
-                let inflight = &inflight;
-                let timers = &timers;
-                let faults = faults.as_ref();
-                let idle_flags = &idle_flags;
-                let exited_flags = &exited_flags;
+            .map(|(m, (mut worker, receiver))| {
+                let mut net = ThreadNet {
+                    machine: m as u16,
+                    inboxes: &inboxes,
+                    inflight: &inflight,
+                    timers: &timers,
+                    faults: faults.as_ref(),
+                    epoch,
+                };
+                let idle = &idle_flags[m];
                 let failed = &failed;
-                let receiver = receiver.clone();
                 scope.spawn(move || {
                     for tmsg in receiver.iter() {
-                        let msg = match tmsg {
-                            TMsg::Stop => break,
-                            TMsg::M(msg) => msg,
-                        };
-                        let mut net = ThreadNet {
-                            machine: m as u16,
-                            senders,
-                            inflight,
-                            timers,
-                            faults,
-                            sent: 0,
-                            epoch,
-                        };
+                        let TMsg::M(msg) = tmsg else { break };
+                        net.inboxes.depths[m].fetch_sub(1, Ordering::Relaxed);
                         worker.handle(msg, &mut net);
                         if worker.error.is_some() {
                             failed.store(true, Ordering::SeqCst);
                         }
-                        idle_flags[m].store(worker.idle(), Ordering::SeqCst);
-                        exited_flags[m].store(worker.path().exited(), Ordering::SeqCst);
-                        inflight.fetch_sub(1, Ordering::SeqCst);
+                        idle.store(worker.idle(), Ordering::SeqCst);
+                        net.inflight.fetch_sub(1, Ordering::SeqCst);
                     }
                     worker
                 })
@@ -263,16 +269,14 @@ pub fn run_threads_live(
             let now = epoch.elapsed().as_nanos() as u64;
             {
                 // Service due timers: move them into their destination
-                // channels. They were counted in `inflight` at
+                // inboxes. They were counted in `inflight` at
                 // registration, so no re-count here.
-                let mut heap = timers.lock();
+                let mut heap = lock(&timers);
                 let mut i = 0;
                 while i < heap.len() {
                     if heap[i].0 <= now {
                         let (_, machine, msg) = heap.swap_remove(i);
-                        if senders[machine as usize].send(TMsg::M(msg)).is_err() {
-                            inflight.fetch_sub(1, Ordering::SeqCst);
-                        }
+                        inboxes.push(machine, msg, &inflight);
                     } else {
                         i += 1;
                     }
@@ -281,8 +285,8 @@ pub fn run_threads_live(
             // Queue-depth and backpressure sampling on every wake-up: the
             // monitor already runs anyway, and the registry never touches
             // worker state, so this observes without perturbing.
-            for (d, (_, r)) in depths.iter_mut().zip(channels.iter()) {
-                *d = r.len();
+            for (d, depth) in depths.iter_mut().zip(&inboxes.depths) {
+                *d = depth.load(Ordering::Relaxed);
             }
             job.shared()
                 .flow
@@ -306,17 +310,11 @@ pub fn run_threads_live(
                 // Per-worker: a worker that exited with all hosts idle is
                 // done, not stalled; any other worker that hasn't handled
                 // a message within the deadline trips the watchdog.
-                let mut worst: u64 = 0;
-                for m in 0..machines as usize {
-                    if exited_flags[m].load(Ordering::SeqCst)
-                        && idle_flags[m].load(Ordering::SeqCst)
-                    {
-                        continue;
-                    }
-                    let idle =
-                        now.saturating_sub(job.shared().telemetry.worker_progress_ns(m as u16));
-                    worst = worst.max(idle);
-                }
+                let worst = (0..machines)
+                    .filter(|&m| !idle_flags[m as usize].load(Ordering::SeqCst))
+                    .map(|m| now.saturating_sub(job.shared().flight.last_ns(m)))
+                    .max()
+                    .unwrap_or(0);
                 if worst > deadline {
                     watchdog = Some((deadline, worst));
                     break;
@@ -325,7 +323,6 @@ pub fn run_threads_live(
             if inflight.load(Ordering::SeqCst) != 0 {
                 continue;
             }
-            let all_exited = exited_flags.iter().all(|f| f.load(Ordering::SeqCst));
             let all_idle = idle_flags.iter().all(|f| f.load(Ordering::SeqCst));
             // Nothing in flight anywhere — no channel message, no pending
             // timer. Either the run is done, or the program has not exited
@@ -334,11 +331,11 @@ pub fn run_threads_live(
             // armed, let the watchdog wait a deadlock out (its timing is
             // part of the contract); otherwise stop now rather than spin
             // forever, and let `Job::finish` diagnose the returned workers.
-            if (all_exited && all_idle) || deadline == 0 {
+            if all_idle || deadline == 0 {
                 break;
             }
         }
-        for s in &senders {
+        for s in &inboxes.senders {
             let _ = s.send(TMsg::Stop);
         }
         handles
@@ -347,6 +344,19 @@ pub fn run_threads_live(
             .collect()
     });
 
+    // Unless the watchdog fired, the monitor stopped on a zero in-flight
+    // count, so every inbox is empty: a missed increment wraps, a missed
+    // decrement stays > 0. (Checked after the join: a panic inside the
+    // scope would wait forever on workers that never got `Stop`.)
+    debug_assert!(
+        watchdog.is_some()
+            || inboxes
+                .depths
+                .iter()
+                .all(|d| d.load(Ordering::Relaxed) == 0),
+        "inbox depths {:?} at quiescence",
+        inboxes.depths
+    );
     // One clock source end to end: the same epoch that timestamps trace
     // events also yields the reported duration, in nanoseconds like the
     // simulator's virtual end_time.

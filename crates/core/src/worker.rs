@@ -119,12 +119,11 @@ impl Worker {
         if self.error.is_some() {
             return;
         }
-        // Live telemetry: every handled message is progress (the stall
-        // watchdog watches this timestamp). The always-on flight recorder
-        // reuses the same clock read and never touches the net, so both
-        // charge zero virtual time.
+        // The always-on flight recorder is the one record of a handled
+        // message: its count and last timestamp feed live snapshots and
+        // the stall watchdog. It never touches the net, so it charges zero
+        // virtual time.
         let now = net.now_ns();
-        self.shared.telemetry.touch(self.machine, now);
         self.shared.flight.record(self.machine, now, &msg);
         let result = if self.relay.enabled() {
             self.handle_reliable(msg, net)

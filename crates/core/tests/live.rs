@@ -331,7 +331,9 @@ fn per_worker_event_timestamps_are_monotone_over_net_now_ns() {
                 pair[1]
             );
         }
-        // The hub's last-progress timestamp was fed from the same clock.
-        assert!(job.shared().telemetry.worker_progress_ns(m as u16) > 0);
+        // The recorder's last-progress timestamp was fed from the same
+        // clock, once per handled message.
+        assert!(job.shared().flight.last_ns(m as u16) > 0);
+        assert!(job.shared().flight.handled(m as u16) > 0);
     }
 }

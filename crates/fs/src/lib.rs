@@ -12,10 +12,9 @@
 #![warn(missing_docs)]
 
 use mitos_lang::Value;
-use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// IO cost parameters, interpreted by the cluster simulator.
 #[derive(Clone, Copy, Debug)]
@@ -72,8 +71,10 @@ struct FileData {
 /// of a cluster sees the same DFS.
 #[derive(Clone, Default)]
 pub struct InMemoryFs {
-    inner: Arc<RwLock<BTreeMap<String, FileData>>>,
+    inner: Arc<RwLock<Files>>,
 }
+
+type Files = BTreeMap<String, FileData>;
 
 impl InMemoryFs {
     /// Creates an empty file system.
@@ -81,11 +82,20 @@ impl InMemoryFs {
         InMemoryFs::default()
     }
 
+    // Every write leaves the map consistent (one insert, remove, append or
+    // clear), so a lock poisoned by a panicking writer is recovered.
+    fn read_files(&self) -> RwLockReadGuard<'_, Files> {
+        self.inner.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn write_files(&self) -> RwLockWriteGuard<'_, Files> {
+        self.inner.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Creates (or replaces) a file with the given elements.
     pub fn put(&self, name: impl Into<String>, elements: Vec<Value>) {
         let bytes = elements.iter().map(Value::estimated_bytes).sum();
-        self.inner
-            .write()
+        self.write_files()
             .insert(name.into(), FileData { elements, bytes });
     }
 
@@ -93,7 +103,7 @@ impl InMemoryFs {
     /// writer instances; the file is a multiset, so append order is
     /// irrelevant.
     pub fn append(&self, name: &str, elements: &[Value]) {
-        let mut guard = self.inner.write();
+        let mut guard = self.write_files();
         let file = guard.entry(name.to_string()).or_default();
         file.bytes += elements.iter().map(Value::estimated_bytes).sum::<u64>();
         file.elements.extend_from_slice(elements);
@@ -101,18 +111,17 @@ impl InMemoryFs {
 
     /// Removes a file; returns whether it existed.
     pub fn remove(&self, name: &str) -> bool {
-        self.inner.write().remove(name).is_some()
+        self.write_files().remove(name).is_some()
     }
 
     /// Whether the file exists.
     pub fn exists(&self, name: &str) -> bool {
-        self.inner.read().contains_key(name)
+        self.read_files().contains_key(name)
     }
 
     /// Total serialized size of the file in bytes.
     pub fn size_bytes(&self, name: &str) -> Result<u64, FsError> {
-        self.inner
-            .read()
+        self.read_files()
             .get(name)
             .map(|f| f.bytes)
             .ok_or_else(|| FsError::NotFound(name.to_string()))
@@ -135,7 +144,7 @@ impl InMemoryFs {
             parts > 0 && part < parts,
             "invalid partition {part}/{parts}"
         );
-        let guard = self.inner.read();
+        let guard = self.read_files();
         let file = guard
             .get(name)
             .ok_or_else(|| FsError::NotFound(name.to_string()))?;
@@ -151,7 +160,7 @@ impl InMemoryFs {
             parts > 0 && part < parts,
             "invalid partition {part}/{parts}"
         );
-        let guard = self.inner.read();
+        let guard = self.read_files();
         let file = guard
             .get(name)
             .ok_or_else(|| FsError::NotFound(name.to_string()))?;
@@ -166,14 +175,13 @@ impl InMemoryFs {
 
     /// Lists all file names.
     pub fn list(&self) -> Vec<String> {
-        self.inner.read().keys().cloned().collect()
+        self.read_files().keys().cloned().collect()
     }
 
     /// Snapshot of all files with canonically sorted contents, for result
     /// comparison across engines.
     pub fn snapshot(&self) -> BTreeMap<String, Vec<Value>> {
-        self.inner
-            .read()
+        self.read_files()
             .iter()
             .map(|(k, v)| {
                 let mut elems = v.elements.clone();
@@ -185,13 +193,13 @@ impl InMemoryFs {
 
     /// Removes all files.
     pub fn clear(&self) {
-        self.inner.write().clear();
+        self.write_files().clear();
     }
 }
 
 impl fmt::Debug for InMemoryFs {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let guard = self.inner.read();
+        let guard = self.read_files();
         f.debug_map()
             .entries(guard.iter().map(|(k, v)| (k, v.elements.len())))
             .finish()

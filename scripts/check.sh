@@ -126,6 +126,18 @@ if [ -n "$stray_atomics" ]; then
     exit 1
 fi
 
+# The thread driver runs on std alone: std::sync::mpsc is the transport and
+# std::sync the locks, so neither removed stand-in may come back in a
+# tracked manifest or source file. (Lock files are not manifests:
+# benchmark/Cargo.lock may still name both until it is next refreshed.)
+stand_ins="$(git ls-files -z -- '*Cargo.toml' '*.rs' |
+    xargs -0 grep -nE 'crossbeam|parking_lot' || true)"
+if [ -n "$stand_ins" ]; then
+    echo "check.sh: crossbeam / parking_lot named in a manifest or source file:" >&2
+    echo "$stand_ins" >&2
+    exit 1
+fi
+
 # The profiler must run end-to-end on the nested-loops example and print
 # its per-iteration table and critical path.
 profile_out="$(./target/release/mitos profile examples/nested_loops.mt --machines 3)"
