@@ -177,7 +177,7 @@ pub enum EventKind {
         peer: u16,
         /// Per-link sequence number of the envelope.
         seq: u64,
-        /// Retransmission round (1 = first retry).
+        /// This envelope's retransmissions so far (1 = first retry).
         attempt: u32,
         /// Step index when the retransmitted payload is a
         /// [`crate::rt::Msg::Decision`]; `u32::MAX` for every other

@@ -222,9 +222,7 @@ pub fn build_step_trees(report: &ObsReport) -> Vec<StepTree> {
                 });
             }
             EventKind::RetransmitSent { peer, step, .. } if *step != u32::MAX => {
-                // Count resends of this decision to this peer. (The event's
-                // own `attempt` field is the relay's per-peer round counter,
-                // which need not start at 1 for this envelope.)
+                // Count resends of this decision to this peer.
                 *retries.entry((*step, *peer)).or_insert(0) += 1;
             }
             _ => {}

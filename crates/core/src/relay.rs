@@ -6,12 +6,16 @@
 //! is wrapped in a sequence-numbered [`Msg::Reliable`] envelope. The
 //! protocol:
 //!
-//! * **Sender**: assigns a per-peer sequence number, keeps the payload in
-//!   an unacked buffer, and arms a self-addressed [`Msg::RetryTick`] timer.
-//!   Each tick retransmits everything still unacked toward that peer and
-//!   re-arms with exponential backoff; after [`MAX_ATTEMPTS`] rounds it
-//!   gives up with a [`RuntimeError`] naming the peer and the stuck
-//!   payloads.
+//! * **Sender**: assigns a per-peer sequence number and keeps the payload
+//!   in an unacked buffer with its own retransmission deadline, stamped on
+//!   [`Net::now_ns`]'s clock (RFC 6298 §5). A self-addressed
+//!   [`Msg::RetryTick`] fires at the earliest deadline toward a peer and
+//!   resends only the payloads whose deadline has passed, never ones still
+//!   in flight. Each timeout round that resends something doubles the
+//!   peer's timeout (capped at `BASE_BACKOFF_NS << MAX_SHIFT`); any ack
+//!   from the peer resets it to [`BASE_BACKOFF_NS`]. A payload resent
+//!   [`MAX_ATTEMPTS`] times without an ack gives up with a
+//!   [`RuntimeError`] naming the peer and that payload.
 //! * **Receiver**: always acks `(src, seq)` — even for duplicates, since
 //!   the original ack may itself have been lost — and delivers a payload at
 //!   most once, deduplicating by `(src, seq)` with a compacting watermark.
@@ -32,15 +36,16 @@ use crate::graph::EdgeId;
 use crate::obs::event::OP_NONE;
 use crate::obs::flow::FlowRegistry;
 use crate::obs::mem::{MemClass, MemRegistry, DEDUP_ENTRY_BYTES, ENVELOPE_BYTES};
-use crate::rt::{Msg, Net, RuntimeError};
+use crate::rt::{FaultPlan, Msg, Net, RuntimeError};
 use std::collections::{BTreeMap, HashSet};
 
-/// First retransmission backoff (ns; virtual under the simulator, wall
-/// under threads). Doubles per round up to `BASE_BACKOFF_NS << MAX_SHIFT`.
+/// Retransmission timeout after ack progress (ns; virtual under the
+/// simulator, wall under threads). Doubles per timeout round up to
+/// `BASE_BACKOFF_NS << MAX_SHIFT`.
 pub const BASE_BACKOFF_NS: u64 = 1_500_000;
-/// Cap on the exponential backoff shift (max backoff = base × 2⁶).
+/// Cap on the exponential backoff shift (max timeout = base × 2⁶).
 const MAX_SHIFT: u32 = 6;
-/// Retransmission rounds per peer before giving up with an error.
+/// Retransmissions of one payload before giving up with an error.
 pub const MAX_ATTEMPTS: u32 = 30;
 
 /// An unacknowledged guarded payload awaiting retransmission.
@@ -48,6 +53,10 @@ pub const MAX_ATTEMPTS: u32 = 30;
 struct Pending {
     msg: Msg,
     bytes: u64,
+    /// Retransmission deadline (ns, on [`Net::now_ns`]'s clock).
+    due: u64,
+    /// Retransmissions of this payload so far.
+    attempts: u32,
 }
 
 /// Per-worker state of the at-least-once delivery protocol: send-side
@@ -60,16 +69,16 @@ pub struct Relay {
     next_seq: Vec<u64>,
     /// Unacked payloads per peer, ordered by sequence number.
     unacked: Vec<BTreeMap<u64, Pending>>,
-    /// Retransmission rounds taken since the peer's buffer last drained.
-    attempts: Vec<u32>,
-    /// Whether a RetryTick is already in flight for the peer.
-    tick_armed: Vec<bool>,
+    /// Backoff exponent per peer: one more per timeout round that resent
+    /// something, back to zero whenever an ack retires a payload.
+    shift: Vec<u32>,
+    /// Due time of the earliest RetryTick in flight per peer (`u64::MAX`:
+    /// none).
+    armed: Vec<u64>,
     /// Receive side: delivered sequence numbers above the watermark.
     seen: Vec<HashSet<u64>>,
     /// Receive side: every seq below this has been delivered.
     delivered_below: Vec<u64>,
-    /// Envelopes retransmitted by this worker.
-    pub retransmits: u64,
     /// Duplicate deliveries discarded by this worker.
     pub dups_dropped: u64,
 }
@@ -124,11 +133,10 @@ impl Relay {
             enabled,
             next_seq: vec![0; n],
             unacked: (0..n).map(|_| BTreeMap::new()).collect(),
-            attempts: vec![0; n],
-            tick_armed: vec![false; n],
+            shift: vec![0; n],
+            armed: vec![u64::MAX; n],
             seen: (0..n).map(|_| HashSet::new()).collect(),
             delivered_below: vec![0; n],
-            retransmits: 0,
             dups_dropped: 0,
         }
     }
@@ -140,7 +148,8 @@ impl Relay {
     }
 
     /// Sends through `net`, wrapping remote guarded payloads in a
-    /// sequence-numbered envelope and arming the retransmission timer.
+    /// sequence-numbered envelope, stamping the payload's retransmission
+    /// deadline and arming a timer for it unless an earlier one is armed.
     /// Data-plane payloads entering the unacked buffer grow their edge's
     /// inflight window in `flow`; every buffered envelope charges its
     /// payload-plus-envelope bytes to [`MemClass::RelayBuf`] in `mem`.
@@ -184,20 +193,30 @@ impl Relay {
             elems,
             bytes + ENVELOPE_BYTES,
         );
-        self.unacked[m].insert(seq, Pending { msg, bytes });
-        self.arm(net, machine);
+        let now = net.now_ns();
+        let due = now + (BASE_BACKOFF_NS << self.shift[m]);
+        self.unacked[m].insert(
+            seq,
+            Pending {
+                msg,
+                bytes,
+                due,
+                attempts: 0,
+            },
+        );
+        self.arm(net, machine, due, now);
     }
 
-    /// Arms one RetryTick toward `peer` unless one is already in flight.
-    fn arm(&mut self, net: &mut dyn Net, peer: u16) {
+    /// Arms a RetryTick toward `peer` to fire at `due`, unless one already
+    /// fires no later.
+    fn arm(&mut self, net: &mut dyn Net, peer: u16, due: u64, now: u64) {
         let m = peer as usize;
-        if self.tick_armed[m] {
+        if due >= self.armed[m] {
             return;
         }
-        self.tick_armed[m] = true;
-        let shift = self.attempts[m].min(MAX_SHIFT);
+        self.armed[m] = due;
         net.timer(
-            BASE_BACKOFF_NS << shift,
+            due.saturating_sub(now),
             self.machine,
             Msg::RetryTick { peer },
         );
@@ -251,7 +270,9 @@ impl Relay {
 
     /// Send side: an ack from `peer` retires the pending payload (and
     /// shrinks its edge's inflight window in `flow` and its
-    /// [`MemClass::RelayBuf`] residency in `mem`).
+    /// [`MemClass::RelayBuf`] residency in `mem`). Retiring a payload is
+    /// ack progress: the peer's next timeout falls back to
+    /// [`BASE_BACKOFF_NS`].
     pub fn on_ack(&mut self, peer: u16, seq: u64, flow: &FlowRegistry, mem: &MemRegistry) {
         let m = peer as usize;
         if let Some(pending) = self.unacked[m].remove(&seq) {
@@ -270,74 +291,93 @@ impl Relay {
                 elems,
                 pending.bytes + ENVELOPE_BYTES,
             );
-        }
-        if self.unacked[m].is_empty() {
-            self.attempts[m] = 0;
+            self.shift[m] = 0;
         }
     }
 
-    /// A retransmission timer fired for `peer`: re-sends everything still
-    /// unacked and re-arms with backoff. Returns `(peer, seq, attempt,
-    /// step)` per retransmitted envelope for observability — `step` is the
-    /// decision index when the payload is a [`Msg::Decision`] and
-    /// `u32::MAX` otherwise, so the span layer can count decision-delivery
-    /// attempts — or an error once the attempt budget is exhausted
-    /// (`fault_note` names the injected plan). Data-plane resends charge
-    /// their envelope bytes to the edge's retransmission counters in
-    /// `flow`.
+    /// A retransmission timer fired for `peer`: re-sends the payloads
+    /// whose deadline has passed, doubles the peer's timeout if it re-sent
+    /// anything, re-stamps each with it, and re-arms for the earliest
+    /// deadline left. A tick that fires before the armed one was superseded
+    /// by it and does nothing. Returns `(peer, seq, attempt, step)` per
+    /// retransmitted envelope for observability — `attempt` counts that
+    /// payload's retransmissions and `step` is the decision index when the
+    /// payload is a [`Msg::Decision`] and `u32::MAX` otherwise, so the span
+    /// layer can count decision-delivery attempts — or an error once a due
+    /// payload has spent its [`MAX_ATTEMPTS`] (naming `faults`, the
+    /// injected plan). Data-plane resends charge their envelope bytes to
+    /// the edge's retransmission counters in `flow`.
     pub fn on_tick(
         &mut self,
         net: &mut dyn Net,
         peer: u16,
-        fault_note: &str,
+        faults: &FaultPlan,
         flow: &FlowRegistry,
     ) -> Result<Vec<(u16, u64, u32, u32)>, RuntimeError> {
         let m = peer as usize;
-        self.tick_armed[m] = false;
-        if self.unacked[m].is_empty() {
+        let now = net.now_ns();
+        if now < self.armed[m] {
             return Ok(Vec::new());
         }
-        self.attempts[m] += 1;
-        if self.attempts[m] > MAX_ATTEMPTS {
-            let (first_seq, first) = self.unacked[m].iter().next().expect("non-empty");
-            return Err(RuntimeError::new(format!(
-                "machine {} gave up after {} retransmission rounds to machine {peer}: \
-                 {} message(s) unacknowledged, oldest is {} #{first_seq}; injected faults: {}",
-                self.machine,
-                MAX_ATTEMPTS,
-                self.unacked[m].len(),
-                payload_kind(&first.msg),
-                fault_note,
-            )));
-        }
-        let attempt = self.attempts[m];
-        let resend: Vec<(u64, Msg, u64)> = self.unacked[m]
-            .iter()
-            .map(|(s, p)| (*s, p.msg.clone(), p.bytes))
-            .collect();
-        let mut recorded = Vec::with_capacity(resend.len());
-        for (seq, msg, bytes) in resend {
-            let step = match &msg {
+        self.armed[m] = u64::MAX;
+        let shift = (self.shift[m] + 1).min(MAX_SHIFT);
+        let next_due = now + (BASE_BACKOFF_NS << shift);
+        let mut earliest = u64::MAX;
+        let mut recorded = Vec::new();
+        for (&seq, pending) in self.unacked[m].iter_mut() {
+            if pending.due > now {
+                earliest = earliest.min(pending.due);
+                continue;
+            }
+            if pending.attempts == MAX_ATTEMPTS {
+                return Err(self.give_up(peer, seq, faults));
+            }
+            pending.attempts += 1;
+            pending.due = next_due;
+            earliest = earliest.min(next_due);
+            let step = match &pending.msg {
                 Msg::Decision { index, .. } => *index,
                 _ => u32::MAX,
             };
-            if let Some(edge) = data_edge(&msg) {
-                flow.retransmit(edge, self.machine, bytes + ENVELOPE_BYTES);
+            if let Some(edge) = data_edge(&pending.msg) {
+                flow.retransmit(edge, self.machine, pending.bytes + ENVELOPE_BYTES);
             }
             net.send(
                 peer,
                 Msg::Reliable {
                     src: self.machine,
                     seq,
-                    payload: Box::new(msg),
+                    payload: Box::new(pending.msg.clone()),
                 },
-                bytes + ENVELOPE_BYTES,
+                pending.bytes + ENVELOPE_BYTES,
             );
-            self.retransmits += 1;
-            recorded.push((peer, seq, attempt, step));
+            recorded.push((peer, seq, pending.attempts, step));
         }
-        self.arm(net, peer);
+        if !recorded.is_empty() {
+            self.shift[m] = shift;
+        }
+        self.arm(net, peer, earliest, now);
         Ok(recorded)
+    }
+
+    /// The error for payload `seq` toward `peer` having spent its
+    /// retransmission budget: names the peer, the oldest unacked payload
+    /// (and `seq`, if it is another) and the injected fault plan.
+    fn give_up(&self, peer: u16, seq: u64, faults: &FaultPlan) -> RuntimeError {
+        let unacked = &self.unacked[peer as usize];
+        let kind = |s: &u64| unacked.get(s).map_or("payload", |p| payload_kind(&p.msg));
+        let oldest = unacked.keys().next().unwrap_or(&seq);
+        let mut stuck = format!("oldest is {} #{oldest}", kind(oldest));
+        if *oldest != seq {
+            stuck += &format!(", {} #{seq} spent the budget", kind(&seq));
+        }
+        RuntimeError::new(format!(
+            "machine {} gave up after {MAX_ATTEMPTS} retransmission rounds to machine {peer}: \
+             {} message(s) unacknowledged, {stuck}; injected faults: {}",
+            self.machine,
+            unacked.len(),
+            faults.summary(),
+        ))
     }
 }
 
@@ -380,11 +420,16 @@ impl Net for ReliableNet<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
+    /// Records every send and timer; `now` is the clock each test
+    /// advances by hand.
     #[derive(Default)]
     struct CaptureNet {
         sent: Vec<(u16, Msg)>,
         timers: Vec<(u64, u16, Msg)>,
+        now: u64,
     }
 
     impl Net for CaptureNet {
@@ -399,7 +444,7 @@ mod tests {
             self.timers.push((delay_ns, machine, msg));
         }
         fn now_ns(&mut self) -> u64 {
-            0
+            self.now
         }
     }
 
@@ -417,6 +462,10 @@ mod tests {
 
     fn mem() -> MemRegistry {
         MemRegistry::new(2, 4)
+    }
+
+    fn faults() -> FaultPlan {
+        FaultPlan::new().with_drop(1.0).with_seed(7)
     }
 
     #[test]
@@ -491,19 +540,163 @@ mod tests {
         relay.send_via(&mut net, 1, decision(), 16, &reg, &mreg);
         net.sent.clear();
         net.timers.clear();
-        let resent = relay.on_tick(&mut net, 1, "drop 1.00", &reg).unwrap();
+        net.now = BASE_BACKOFF_NS;
+        let resent = relay.on_tick(&mut net, 1, &faults(), &reg).unwrap();
         assert_eq!(resent, vec![(1, 0, 1, 3)], "step = the decision's index");
         assert_eq!(net.sent.len(), 1);
         assert_eq!(net.timers.len(), 1);
         assert_eq!(net.timers[0].0, BASE_BACKOFF_NS << 1, "backoff doubled");
-        assert_eq!(relay.retransmits, 1);
+
+        net.now += BASE_BACKOFF_NS << 1;
+        let resent = relay.on_tick(&mut net, 1, &faults(), &reg).unwrap();
+        assert_eq!(resent, vec![(1, 0, 2, 3)], "second attempt");
+        assert_eq!(net.timers[1].0, BASE_BACKOFF_NS << 2, "doubled again");
 
         relay.on_ack(1, 0, &reg, &mreg);
         net.sent.clear();
-        let resent = relay.on_tick(&mut net, 1, "drop 1.00", &reg).unwrap();
+        net.timers.clear();
+        net.now += BASE_BACKOFF_NS << 2;
+        let resent = relay.on_tick(&mut net, 1, &faults(), &reg).unwrap();
         assert!(resent.is_empty(), "nothing unacked, tick disarms");
         assert!(net.sent.is_empty());
-        assert_eq!(relay.attempts[1], 0, "attempts reset after drain");
+        assert!(net.timers.is_empty(), "nothing left to arm for");
+        assert_eq!(relay.shift[1], 0, "ack progress reset the backoff");
+    }
+
+    #[test]
+    fn a_timeout_resends_only_the_payloads_it_is_due_for() {
+        let mut relay = Relay::new(0, 2, true);
+        let mut net = CaptureNet::default();
+        let reg = flow();
+        let mreg = mem();
+        relay.send_via(&mut net, 1, decision(), 16, &reg, &mreg);
+        net.now = BASE_BACKOFF_NS - 500_000;
+        relay.send_via(&mut net, 1, decision(), 16, &reg, &mreg);
+        assert_eq!(net.timers.len(), 1, "the first payload's tick fires first");
+        net.timers.clear();
+
+        net.now = BASE_BACKOFF_NS;
+        let resent = relay.on_tick(&mut net, 1, &faults(), &reg).unwrap();
+        assert_eq!(resent, vec![(1, 0, 1, 3)], "seq 1 is still in flight");
+        assert_eq!(
+            net.timers[0].0,
+            BASE_BACKOFF_NS - 500_000,
+            "re-armed for seq 1's own deadline"
+        );
+
+        net.now = 2 * BASE_BACKOFF_NS - 500_000;
+        let resent = relay.on_tick(&mut net, 1, &faults(), &reg).unwrap();
+        assert_eq!(resent, vec![(1, 1, 1, 3)], "seq 1 timed out in its turn");
+    }
+
+    #[test]
+    fn an_ack_resets_the_next_timeout_to_the_base() {
+        let mut relay = Relay::new(0, 2, true);
+        let mut net = CaptureNet::default();
+        let reg = flow();
+        let mreg = mem();
+        relay.send_via(&mut net, 1, decision(), 16, &reg, &mreg);
+        net.now = BASE_BACKOFF_NS;
+        relay.on_tick(&mut net, 1, &faults(), &reg).unwrap();
+        relay.send_via(&mut net, 1, decision(), 16, &reg, &mreg);
+        assert_eq!(
+            relay.unacked[1][&1].due,
+            net.now + (BASE_BACKOFF_NS << 1),
+            "a timeout round doubled the next payload's timeout"
+        );
+
+        net.timers.clear();
+        relay.on_ack(1, 0, &reg, &mreg);
+        relay.send_via(&mut net, 1, decision(), 16, &reg, &mreg);
+        assert_eq!(relay.unacked[1][&2].due, net.now + BASE_BACKOFF_NS);
+        assert_eq!(
+            net.timers.len(),
+            1,
+            "earlier than the armed tick: armed anew"
+        );
+        assert_eq!(net.timers[0].0, BASE_BACKOFF_NS);
+
+        net.timers.clear();
+        net.now += BASE_BACKOFF_NS;
+        let resent = relay.on_tick(&mut net, 1, &faults(), &reg).unwrap();
+        assert_eq!(resent, vec![(1, 2, 1, 3)], "only seq 2 is due");
+        assert_eq!(
+            net.timers[0].0, BASE_BACKOFF_NS,
+            "re-armed for seq 1's deadline, earlier than seq 2's new one"
+        );
+    }
+
+    /// A steady stream never drains the unacked buffer: one payload every
+    /// 100 µs, each acked 250 µs after it is sent, except that the first
+    /// copy of every 20th payload is lost (its resend is acked 250 µs
+    /// later). Each loss must cost one timeout — at most two base
+    /// timeouts, since a resend round may have doubled the timeout the
+    /// payload was stamped with — not a backoff that climbed while the
+    /// stream kept the buffer full.
+    #[test]
+    fn a_steady_stream_recovers_each_loss_within_two_base_timeouts() {
+        const GAP_NS: u64 = 100_000;
+        const ACK_DELAY_NS: u64 = 250_000;
+        const RUN_NS: u64 = 500_000_000;
+        const ACK: u8 = 0;
+        const TICK: u8 = 1;
+        let mut relay = Relay::new(0, 2, true);
+        let mut net = CaptureNet::default();
+        let reg = flow();
+        let mreg = mem();
+        let lost = |seq: u64| seq.is_multiple_of(20);
+        // Pending acks and ticks, earliest first: (time, kind, seq).
+        let mut events: BinaryHeap<Reverse<(u64, u8, u64)>> = BinaryHeap::new();
+        let mut resent_at: Vec<Option<u64>> = Vec::new();
+        let mut sent = 0u64;
+        loop {
+            let send_at = sent * GAP_NS;
+            let event = events.peek().map(|Reverse(e)| *e);
+            let now = match event {
+                Some((t, _, _)) if send_at >= RUN_NS || t <= send_at => t,
+                _ if send_at < RUN_NS => send_at,
+                _ => break,
+            };
+            net.now = now;
+            match event {
+                Some((t, kind, seq)) if t == now => {
+                    events.pop();
+                    if kind == ACK {
+                        relay.on_ack(1, seq, &reg, &mreg);
+                    } else {
+                        let resent = relay
+                            .on_tick(&mut net, 1, &faults(), &reg)
+                            .expect("the relay never gives up");
+                        for (_, seq, _, _) in resent {
+                            resent_at[seq as usize].get_or_insert(now);
+                            events.push(Reverse((now + ACK_DELAY_NS, ACK, seq)));
+                        }
+                    }
+                }
+                _ => {
+                    relay.send_via(&mut net, 1, decision(), 16, &reg, &mreg);
+                    if !lost(sent) {
+                        events.push(Reverse((now + ACK_DELAY_NS, ACK, sent)));
+                    }
+                    resent_at.push(None);
+                    sent += 1;
+                }
+            }
+            for (delay, _, _) in net.timers.drain(..) {
+                events.push(Reverse((now + delay, TICK, 0)));
+            }
+            net.sent.clear();
+        }
+        assert_eq!(sent, RUN_NS / GAP_NS);
+        assert!(relay.unacked[1].is_empty(), "every payload acked");
+        for seq in (0..sent).filter(|&s| lost(s)) {
+            let resent = resent_at[seq as usize].expect("every lost payload is resent");
+            assert!(
+                resent - seq * GAP_NS <= 2 * BASE_BACKOFF_NS,
+                "payload {seq} resent {} µs after its first send",
+                (resent - seq * GAP_NS) / 1_000
+            );
+        }
     }
 
     #[test]
@@ -522,7 +715,9 @@ mod tests {
         let buf = mreg.report().class_total(MemClass::RelayBuf);
         assert_eq!(buf.live, 1, "one unacked envelope resident");
         assert_eq!(buf.bytes, 40 + ENVELOPE_BYTES);
-        relay.on_tick(&mut net, 1, "drop 1.00", &reg).unwrap();
+        net.now = BASE_BACKOFF_NS;
+        let resent = relay.on_tick(&mut net, 1, &faults(), &reg).unwrap();
+        assert_eq!(resent.len(), 1);
         relay.on_ack(1, 0, &reg, &mreg);
         let report = reg.report();
         let edge = &report.edges[2];
@@ -550,18 +745,56 @@ mod tests {
         let mut net = CaptureNet::default();
         let reg = flow();
         relay.send_via(&mut net, 1, decision(), 16, &reg, &mem());
-        let mut last = Ok(Vec::new());
-        for _ in 0..=MAX_ATTEMPTS {
-            last = relay.on_tick(&mut net, 1, "drop 1.00 (fault seed 0x7)", &reg);
-        }
-        let err = last.expect_err("attempt budget exhausted");
-        assert!(err.message.contains("gave up"), "{}", err.message);
+        let mut resends = 0;
+        let err = loop {
+            net.now = relay.armed[1];
+            match relay.on_tick(&mut net, 1, &faults(), &reg) {
+                Ok(resent) => resends += resent.len() as u32,
+                Err(e) => break e,
+            }
+        };
+        assert_eq!(resends, MAX_ATTEMPTS, "the budget is per payload");
         assert!(
-            err.message.contains("decision broadcast"),
+            net.now > 2_000 * crate::rt::NS_PER_MS,
+            "the backoff climbs under silence: gave up after {} ms",
+            net.now / crate::rt::NS_PER_MS
+        );
+        let msg = &err.message;
+        assert!(
+            msg.contains("gave up after 30 retransmission rounds to machine 1"),
+            "{msg}"
+        );
+        assert!(msg.contains("oldest is decision broadcast #0;"), "{msg}");
+        assert!(msg.contains("drop 1.00 (fault seed 0x7)"), "{msg}");
+    }
+
+    #[test]
+    fn give_up_names_a_younger_payload_that_spent_the_budget() {
+        let mut relay = Relay::new(0, 2, true);
+        let mut net = CaptureNet::default();
+        let reg = flow();
+        let data = Msg::Data {
+            edge: 2,
+            dst_inst: 0,
+            bag_len: 1,
+            batch: mitos_lang::Batch::new(),
+        };
+        relay.send_via(&mut net, 1, decision(), 16, &reg, &mem());
+        relay.send_via(&mut net, 1, data, 40, &reg, &mem());
+        relay.unacked[1].get_mut(&0).unwrap().due = u64::MAX;
+        relay.unacked[1].get_mut(&1).unwrap().attempts = MAX_ATTEMPTS;
+        net.now = BASE_BACKOFF_NS;
+        let err = relay
+            .on_tick(&mut net, 1, &faults(), &reg)
+            .expect_err("seq 1 is out of budget");
+        assert!(
+            err.message.contains(
+                "2 message(s) unacknowledged, oldest is decision broadcast #0, \
+                 data batch #1 spent the budget;"
+            ),
             "{}",
             err.message
         );
-        assert!(err.message.contains("drop 1.00"), "{}", err.message);
     }
 
     /// The dedup table must stay bounded by the compaction watermark on a

@@ -312,8 +312,9 @@ pub enum Msg {
         /// The acknowledged sequence number.
         seq: u64,
     },
-    /// Self-addressed retransmission timer: re-send everything still
-    /// unacknowledged toward `peer`, with exponential backoff.
+    /// Self-addressed retransmission timer, armed for the earliest
+    /// retransmission deadline toward `peer`: re-send the unacknowledged
+    /// payloads whose own deadline has passed (see [`crate::relay`]).
     RetryTick {
         /// The destination machine whose unacked traffic is due.
         peer: u16,
@@ -331,9 +332,14 @@ pub trait Net {
     /// Delivers `msg` to `machine` after `delay_ns` of virtual time without
     /// occupying the CPU (models asynchronous disk I/O).
     fn schedule(&mut self, delay_ns: u64, machine: u16, msg: Msg);
-    /// The current time in nanoseconds, used to timestamp trace events:
-    /// virtual time on the simulator, monotonic wall-clock since engine
-    /// start on real threads. Only consulted when tracing is enabled.
+    /// The current time in nanoseconds: virtual time on the simulator,
+    /// monotonic wall-clock since engine start on real threads. Read on
+    /// every handled message (the flight recorder's timestamp), by the
+    /// relay to stamp and check each payload's retransmission deadline,
+    /// and to timestamp trace events when tracing is enabled. Under the
+    /// simulator the readings are deterministic; under threads a replay of
+    /// a faulted run must feed back the recorded readings, or the relay's
+    /// timeout choices diverge.
     fn now_ns(&mut self) -> u64;
     /// Delivers `msg` to `machine` after `delay_ns` as a **local timer**:
     /// exempt from network fault injection, used by the relay's

@@ -188,8 +188,7 @@ impl Worker {
                 Ok(())
             }
             Msg::RetryTick { peer } => {
-                let note = self.shared.config.faults.summary();
-                match relay.on_tick(net, peer, &note, &self.shared.flow) {
+                match relay.on_tick(net, peer, &self.shared.config.faults, &self.shared.flow) {
                     Ok(resent) => {
                         for (peer, seq, attempt, step) in resent {
                             self.obs.record(

@@ -5,7 +5,7 @@
 //! discard must survive duplicated and reordered condition-decision
 //! broadcasts bit-identically.
 
-use mitos_core::rt::{EngineConfig, FaultPlan};
+use mitos_core::rt::{EngineConfig, FaultPlan, NS_PER_MS};
 use mitos_core::{run_sim, run_threads, EngineResult};
 use mitos_fs::InMemoryFs;
 use mitos_lang::Value;
@@ -379,6 +379,48 @@ fn fault_chaos_on_threads_matches_fault_free() {
         assert_eq!(r.outputs, clean.outputs, "round {round}");
         assert_eq!(r.path, clean.path, "round {round}");
     }
+}
+
+/// Runs `examples/nested_loops.mt` on 3 simulated machines with `plan`.
+fn run_example_with_plan(plan: FaultPlan) -> Result<EngineResult, mitos_core::RuntimeError> {
+    let func = mitos_ir::compile_str(include_str!("../../../examples/nested_loops.mt")).unwrap();
+    let fs = InMemoryFs::new();
+    run_sim(
+        &func,
+        &fs,
+        EngineConfig::new().with_faults(plan),
+        SimConfig::with_machines(3),
+    )
+}
+
+/// A partition shorter than the retransmission budget heals without a
+/// trace in the results: the relay's backoff keeps climbing while no ack
+/// crosses the cut, so 400 ms of silence costs a handful of resends, not
+/// the budget.
+#[test]
+fn fault_partition_shorter_than_the_budget_recovers() {
+    let clean = run_example_with_plan(FaultPlan::default()).unwrap();
+    let cut = run_example_with_plan(FaultPlan::new().with_partition(0, 1, 0, 400 * NS_PER_MS))
+        .unwrap_or_else(|e| panic!("a 400 ms partition must heal: {e}"));
+    assert!(cut.sim.faults_dropped > 0, "the partition dropped nothing");
+    assert_eq!(cut.outputs, clean.outputs, "outputs after the partition");
+    assert_eq!(cut.path, clean.path, "execution path after the partition");
+}
+
+/// A partition that outlasts the budget ends the run with the relay's
+/// give-up error, naming the payload that was never acknowledged — after
+/// seconds of silence, not after a burst of base timeouts.
+#[test]
+fn fault_partition_longer_than_the_budget_gives_up() {
+    let plan = FaultPlan::new().with_partition(0, 1, 0, 100_000 * NS_PER_MS);
+    let err = run_example_with_plan(plan).expect_err("a 100 s partition must exhaust the budget");
+    let msg = &err.message;
+    assert!(
+        msg.contains("gave up after 30 retransmission rounds"),
+        "{msg}"
+    );
+    assert!(msg.contains("oldest is decision broadcast #0"), "{msg}");
+    assert!(msg.contains("1 partition window(s)"), "{msg}");
 }
 
 #[test]
