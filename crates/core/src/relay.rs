@@ -11,11 +11,12 @@
 //!   [`Net::now_ns`]'s clock (RFC 6298 §5). A self-addressed
 //!   [`Msg::RetryTick`] fires at the earliest deadline toward a peer and
 //!   resends only the payloads whose deadline has passed, never ones still
-//!   in flight. Each timeout round that resends something doubles the
-//!   peer's timeout (capped at `BASE_BACKOFF_NS << MAX_SHIFT`); any ack
-//!   from the peer resets it to [`BASE_BACKOFF_NS`]. A payload resent
-//!   [`MAX_ATTEMPTS`] times without an ack gives up with a
-//!   [`RuntimeError`] naming the peer and that payload.
+//!   in flight. A payload's first timeout is [`BASE_BACKOFF_NS`], and
+//!   each of its resends doubles its own next one (capped at
+//!   `BASE_BACKOFF_NS << MAX_SHIFT`), so acks of other payloads never
+//!   shorten its budget. A payload resent [`MAX_ATTEMPTS`] times without
+//!   an ack gives up with a [`RuntimeError`] naming the peer and that
+//!   payload.
 //! * **Receiver**: always acks `(src, seq)` — even for duplicates, since
 //!   the original ack may itself have been lost — and delivers a payload at
 //!   most once, deduplicating by `(src, seq)` with a compacting watermark.
@@ -39,9 +40,9 @@ use crate::obs::mem::{MemClass, MemRegistry, DEDUP_ENTRY_BYTES, ENVELOPE_BYTES};
 use crate::rt::{FaultPlan, Msg, Net, RuntimeError};
 use std::collections::{BTreeMap, HashSet};
 
-/// Retransmission timeout after ack progress (ns; virtual under the
-/// simulator, wall under threads). Doubles per timeout round up to
-/// `BASE_BACKOFF_NS << MAX_SHIFT`.
+/// A payload's first retransmission timeout (ns; virtual under the
+/// simulator, wall under threads). Doubles per resend of that payload up
+/// to `BASE_BACKOFF_NS << MAX_SHIFT`.
 pub const BASE_BACKOFF_NS: u64 = 1_500_000;
 /// Cap on the exponential backoff shift (max timeout = base × 2⁶).
 const MAX_SHIFT: u32 = 6;
@@ -59,6 +60,11 @@ struct Pending {
     attempts: u32,
 }
 
+/// The deadline of a payload sent at `now` after `attempts` resends.
+fn due_after(now: u64, attempts: u32) -> u64 {
+    now + (BASE_BACKOFF_NS << attempts.min(MAX_SHIFT))
+}
+
 /// Per-worker state of the at-least-once delivery protocol: send-side
 /// sequence numbers and unacked buffers, receive-side dedup, and counters.
 #[derive(Debug, Default)]
@@ -69,9 +75,6 @@ pub struct Relay {
     next_seq: Vec<u64>,
     /// Unacked payloads per peer, ordered by sequence number.
     unacked: Vec<BTreeMap<u64, Pending>>,
-    /// Backoff exponent per peer: one more per timeout round that resent
-    /// something, back to zero whenever an ack retires a payload.
-    shift: Vec<u32>,
     /// Due time of the earliest RetryTick in flight per peer (`u64::MAX`:
     /// none).
     armed: Vec<u64>,
@@ -133,7 +136,6 @@ impl Relay {
             enabled,
             next_seq: vec![0; n],
             unacked: (0..n).map(|_| BTreeMap::new()).collect(),
-            shift: vec![0; n],
             armed: vec![u64::MAX; n],
             seen: (0..n).map(|_| HashSet::new()).collect(),
             delivered_below: vec![0; n],
@@ -194,7 +196,7 @@ impl Relay {
             bytes + ENVELOPE_BYTES,
         );
         let now = net.now_ns();
-        let due = now + (BASE_BACKOFF_NS << self.shift[m]);
+        let due = due_after(now, 0);
         self.unacked[m].insert(
             seq,
             Pending {
@@ -270,9 +272,7 @@ impl Relay {
 
     /// Send side: an ack from `peer` retires the pending payload (and
     /// shrinks its edge's inflight window in `flow` and its
-    /// [`MemClass::RelayBuf`] residency in `mem`). Retiring a payload is
-    /// ack progress: the peer's next timeout falls back to
-    /// [`BASE_BACKOFF_NS`].
+    /// [`MemClass::RelayBuf`] residency in `mem`).
     pub fn on_ack(&mut self, peer: u16, seq: u64, flow: &FlowRegistry, mem: &MemRegistry) {
         let m = peer as usize;
         if let Some(pending) = self.unacked[m].remove(&seq) {
@@ -291,22 +291,21 @@ impl Relay {
                 elems,
                 pending.bytes + ENVELOPE_BYTES,
             );
-            self.shift[m] = 0;
         }
     }
 
     /// A retransmission timer fired for `peer`: re-sends the payloads
-    /// whose deadline has passed, doubles the peer's timeout if it re-sent
-    /// anything, re-stamps each with it, and re-arms for the earliest
-    /// deadline left. A tick that fires before the armed one was superseded
-    /// by it and does nothing. Returns `(peer, seq, attempt, step)` per
-    /// retransmitted envelope for observability — `attempt` counts that
-    /// payload's retransmissions and `step` is the decision index when the
-    /// payload is a [`Msg::Decision`] and `u32::MAX` otherwise, so the span
-    /// layer can count decision-delivery attempts — or an error once a due
-    /// payload has spent its [`MAX_ATTEMPTS`] (naming `faults`, the
-    /// injected plan). Data-plane resends charge their envelope bytes to
-    /// the edge's retransmission counters in `flow`.
+    /// whose deadline has passed, re-stamps each with its own doubled
+    /// timeout, and re-arms for the earliest deadline left. A tick that
+    /// fires before the armed one was superseded by it and does nothing.
+    /// Returns `(peer, seq, attempt, step)` per retransmitted envelope for
+    /// observability — `attempt` counts that payload's retransmissions and
+    /// `step` is the decision index when the payload is a
+    /// [`Msg::Decision`] and `u32::MAX` otherwise, so the span layer can
+    /// count decision-delivery attempts — or an error once a due payload
+    /// has spent its [`MAX_ATTEMPTS`] (naming `faults`, the injected plan).
+    /// Data-plane resends charge their envelope bytes to the edge's
+    /// retransmission counters in `flow`.
     pub fn on_tick(
         &mut self,
         net: &mut dyn Net,
@@ -320,8 +319,6 @@ impl Relay {
             return Ok(Vec::new());
         }
         self.armed[m] = u64::MAX;
-        let shift = (self.shift[m] + 1).min(MAX_SHIFT);
-        let next_due = now + (BASE_BACKOFF_NS << shift);
         let mut earliest = u64::MAX;
         let mut recorded = Vec::new();
         for (&seq, pending) in self.unacked[m].iter_mut() {
@@ -333,8 +330,8 @@ impl Relay {
                 return Err(self.give_up(peer, seq, faults));
             }
             pending.attempts += 1;
-            pending.due = next_due;
-            earliest = earliest.min(next_due);
+            pending.due = due_after(now, pending.attempts);
+            earliest = earliest.min(pending.due);
             let step = match &pending.msg {
                 Msg::Decision { index, .. } => *index,
                 _ => u32::MAX,
@@ -353,9 +350,6 @@ impl Relay {
             );
             recorded.push((peer, seq, pending.attempts, step));
         }
-        if !recorded.is_empty() {
-            self.shift[m] = shift;
-        }
         self.arm(net, peer, earliest, now);
         Ok(recorded)
     }
@@ -365,11 +359,11 @@ impl Relay {
     /// (and `seq`, if it is another) and the injected fault plan.
     fn give_up(&self, peer: u16, seq: u64, faults: &FaultPlan) -> RuntimeError {
         let unacked = &self.unacked[peer as usize];
-        let kind = |s: &u64| unacked.get(s).map_or("payload", |p| payload_kind(&p.msg));
-        let oldest = unacked.keys().next().unwrap_or(&seq);
+        let kind = |s: u64| payload_kind(&unacked[&s].msg);
+        let oldest = *unacked.keys().next().expect("seq is unacked");
         let mut stuck = format!("oldest is {} #{oldest}", kind(oldest));
-        if *oldest != seq {
-            stuck += &format!(", {} #{seq} spent the budget", kind(&seq));
+        if oldest != seq {
+            stuck += &format!(", {} #{seq} spent the budget", kind(seq));
         }
         RuntimeError::new(format!(
             "machine {} gave up after {MAX_ATTEMPTS} retransmission rounds to machine {peer}: \
@@ -560,7 +554,6 @@ mod tests {
         assert!(resent.is_empty(), "nothing unacked, tick disarms");
         assert!(net.sent.is_empty());
         assert!(net.timers.is_empty(), "nothing left to arm for");
-        assert_eq!(relay.shift[1], 0, "ack progress reset the backoff");
     }
 
     #[test]
@@ -590,7 +583,7 @@ mod tests {
     }
 
     #[test]
-    fn an_ack_resets_the_next_timeout_to_the_base() {
+    fn a_payload_backs_off_on_its_own_resends_only() {
         let mut relay = Relay::new(0, 2, true);
         let mut net = CaptureNet::default();
         let reg = flow();
@@ -598,43 +591,86 @@ mod tests {
         relay.send_via(&mut net, 1, decision(), 16, &reg, &mreg);
         net.now = BASE_BACKOFF_NS;
         relay.on_tick(&mut net, 1, &faults(), &reg).unwrap();
+        assert_eq!(relay.unacked[1][&0].due, 3 * BASE_BACKOFF_NS, "doubled");
         relay.send_via(&mut net, 1, decision(), 16, &reg, &mreg);
         assert_eq!(
             relay.unacked[1][&1].due,
-            net.now + (BASE_BACKOFF_NS << 1),
-            "a timeout round doubled the next payload's timeout"
+            2 * BASE_BACKOFF_NS,
+            "a new payload starts at the base while an older one backs off"
         );
 
-        net.timers.clear();
-        relay.on_ack(1, 0, &reg, &mreg);
-        relay.send_via(&mut net, 1, decision(), 16, &reg, &mreg);
-        assert_eq!(relay.unacked[1][&2].due, net.now + BASE_BACKOFF_NS);
+        relay.on_ack(1, 1, &reg, &mreg);
         assert_eq!(
-            net.timers.len(),
-            1,
-            "earlier than the armed tick: armed anew"
+            relay.unacked[1][&0].due,
+            3 * BASE_BACKOFF_NS,
+            "another payload's ack leaves this one's timeout alone"
         );
-        assert_eq!(net.timers[0].0, BASE_BACKOFF_NS);
-
         net.timers.clear();
-        net.now += BASE_BACKOFF_NS;
+        net.now = 2 * BASE_BACKOFF_NS;
         let resent = relay.on_tick(&mut net, 1, &faults(), &reg).unwrap();
-        assert_eq!(resent, vec![(1, 2, 1, 3)], "only seq 2 is due");
-        assert_eq!(
-            net.timers[0].0, BASE_BACKOFF_NS,
-            "re-armed for seq 1's deadline, earlier than seq 2's new one"
-        );
+        assert!(resent.is_empty(), "seq 1 was acked, seq 0 is not due");
+        assert_eq!(net.timers[0].0, BASE_BACKOFF_NS, "re-armed for seq 0");
+
+        net.timers.clear();
+        net.now = 3 * BASE_BACKOFF_NS;
+        let resent = relay.on_tick(&mut net, 1, &faults(), &reg).unwrap();
+        assert_eq!(resent, vec![(1, 0, 2, 3)], "seq 0's second resend");
+        assert_eq!(net.timers[0].0, BASE_BACKOFF_NS << 2, "doubled again");
+    }
+
+    /// A slow peer working through a FIFO backlog acks one payload every
+    /// 2 ms, so acks keep arriving while the tail of the backlog waits
+    /// 200 ms for its turn. Each queued payload must back off on its own
+    /// resends — a handful over those 200 ms — and the relay must not
+    /// spend the tail's budget at the base timeout because the acks of
+    /// other payloads keep arriving.
+    #[test]
+    fn acks_for_a_backlog_do_not_burn_a_queued_payloads_budget() {
+        const BACKLOG: u64 = 100;
+        const ACK_EVERY_NS: u64 = 2 * crate::rt::NS_PER_MS;
+        let mut relay = Relay::new(0, 2, true);
+        let mut net = CaptureNet::default();
+        let reg = flow();
+        let mreg = mem();
+        for _ in 0..BACKLOG {
+            relay.send_via(&mut net, 1, decision(), 16, &reg, &mreg);
+        }
+        let mut ticks: Vec<u64> = Vec::new();
+        let mut resends = vec![0u32; BACKLOG as usize];
+        for seq in 0..BACKLOG {
+            let ack_at = (seq + 1) * ACK_EVERY_NS;
+            loop {
+                ticks.extend(net.timers.drain(..).map(|(delay, _, _)| net.now + delay));
+                ticks.sort_unstable();
+                match ticks.first() {
+                    Some(&t) if t < ack_at => {
+                        ticks.remove(0);
+                        net.now = t;
+                        let resent = relay
+                            .on_tick(&mut net, 1, &faults(), &reg)
+                            .expect("a peer that keeps acking is never given up on");
+                        for (_, s, _, _) in resent {
+                            resends[s as usize] += 1;
+                        }
+                    }
+                    _ => break,
+                }
+            }
+            net.now = ack_at;
+            relay.on_ack(1, seq, &reg, &mreg);
+        }
+        assert!(relay.unacked[1].is_empty(), "the backlog drained");
+        // Timeouts at 1.5, 4.5, 10.5, 22.5, 46.5, 94.5 and 190.5 ms.
+        assert_eq!(resends[BACKLOG as usize - 1], 7, "{resends:?}");
     }
 
     /// A steady stream never drains the unacked buffer: one payload every
     /// 100 µs, each acked 250 µs after it is sent, except that the first
     /// copy of every 20th payload is lost (its resend is acked 250 µs
-    /// later). Each loss must cost one timeout — at most two base
-    /// timeouts, since a resend round may have doubled the timeout the
-    /// payload was stamped with — not a backoff that climbed while the
-    /// stream kept the buffer full.
+    /// later). Each loss must cost one base timeout, not a backoff that
+    /// climbed while the stream kept the buffer full.
     #[test]
-    fn a_steady_stream_recovers_each_loss_within_two_base_timeouts() {
+    fn a_steady_stream_recovers_each_loss_within_one_base_timeout() {
         const GAP_NS: u64 = 100_000;
         const ACK_DELAY_NS: u64 = 250_000;
         const RUN_NS: u64 = 500_000_000;
@@ -692,7 +728,7 @@ mod tests {
         for seq in (0..sent).filter(|&s| lost(s)) {
             let resent = resent_at[seq as usize].expect("every lost payload is resent");
             assert!(
-                resent - seq * GAP_NS <= 2 * BASE_BACKOFF_NS,
+                resent - seq * GAP_NS <= BASE_BACKOFF_NS,
                 "payload {seq} resent {} µs after its first send",
                 (resent - seq * GAP_NS) / 1_000
             );

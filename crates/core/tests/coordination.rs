@@ -423,6 +423,43 @@ fn fault_partition_longer_than_the_budget_gives_up() {
     assert!(msg.contains("1 partition window(s)"), "{msg}");
 }
 
+/// A receiver slowed 200-fold works through a FIFO backlog of small
+/// shuffle batches while a few are lost: acks for the head of the backlog
+/// keep arriving while its tail waits its turn. Each queued payload backs
+/// off on its own resends, so the acks of other payloads must not burn
+/// its budget at the base timeout and fail a run that is making progress.
+#[test]
+fn fault_backlogged_receiver_keeps_its_retransmission_budget() {
+    let src = r#"
+        total = 0;
+        for d = 1 to 4 {
+            counts = readFile("log").map(x => (x % 64, 1)).reduceByKey((a, b) => a + b);
+            total = total + counts.map(c => c[1]).sum();
+        }
+        output(total, "t");
+    "#;
+    let func = mitos_ir::compile_str(src).unwrap();
+    let run = |plan: FaultPlan| {
+        let fs = InMemoryFs::new();
+        fs.put("log", (0..20_000).map(Value::I64).collect::<Vec<_>>());
+        run_sim(
+            &func,
+            &fs,
+            EngineConfig::new().with_batch_elems(64).with_faults(plan),
+            SimConfig::with_machines(3),
+        )
+    };
+    let clean = run(FaultPlan::default()).unwrap();
+    let plan = FaultPlan::new()
+        .with_slowdown(1, 200)
+        .with_drop(0.02)
+        .with_seed(1);
+    let slow = run(plan).unwrap_or_else(|e| panic!("a backlog is not a dead link: {e}"));
+    assert!(slow.sim.faults_dropped > 0, "the plan dropped nothing");
+    assert_eq!(slow.outputs, clean.outputs);
+    assert_eq!(slow.path, clean.path);
+}
+
 #[test]
 fn combiner_pass_is_equivalent_and_cuts_shuffle_traffic() {
     // A skewed workload: many elements, few keys — the regime where
